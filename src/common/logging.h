@@ -9,20 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-namespace validity {
-namespace internal {
-
-[[noreturn]] inline void CheckFailed(const char* file, int line,
-                                     const char* expr) {
-  std::fprintf(stderr, "[validity] CHECK failed at %s:%d: %s\n", file, line,
-               expr);
-  std::fflush(stderr);
-  std::abort();
-}
-
-}  // namespace internal
-}  // namespace validity
-
 /// Aborts with file/line context when `cond` is false. The optional printf
 /// style message arguments are emitted before aborting.
 #define VALIDITY_CHECK(cond, ...)                                        \

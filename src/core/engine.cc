@@ -1,20 +1,12 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/zipf.h"
-#include "core/run_internal.h"
-#include "protocols/byzantine.h"
-#include "protocols/factory.h"
-#include "sim/churn.h"
+#include "core/query_service.h"
 #include "topology/algorithms.h"
 
 namespace validity::core {
-
-using internal::ByzantineRig;
-using internal::MaybeInterpose;
-using internal::ShouldInstallLinkFaults;
 
 QueryEngine::QueryEngine(const topology::Graph* graph,
                          std::vector<double> values)
@@ -42,210 +34,21 @@ uint32_t QueryEngine::EstimatedDiameter() const {
   return cached_diameter_;
 }
 
-Status QueryEngine::PlanRun(const QuerySpec& spec, const RunConfig& config,
-                            HostId hq, RunPlan* plan) const {
-  if (hq >= topo_.num_hosts()) {
-    return Status::OutOfRange("querying host out of range");
-  }
-  if (spec.fm_vectors == 0) {
-    return Status::InvalidArgument("fm_vectors must be >= 1");
-  }
-  if (config.churn_removals >= topo_.num_hosts()) {
-    return Status::InvalidArgument("cannot remove every host");
-  }
-  if (config.protocol == protocols::ProtocolKind::kRandomizedReport &&
-      spec.aggregate != AggregateKind::kCount &&
-      spec.aggregate != AggregateKind::kSum) {
-    return Status::InvalidArgument(
-        "randomized-report answers count/sum queries only");
-  }
-
-  plan->d_hat = spec.d_hat;
-  if (plan->d_hat <= 0.0) {
-    plan->d_hat =
-        static_cast<double>(EstimatedDiameter()) + kDefaultDiameterMargin;
-  }
-
-  // The tree/DAG baselines track child liveness through heartbeats.
-  plan->failure_detection =
-      config.sim_options.failure_detection ||
-      config.protocol == protocols::ProtocolKind::kSpanningTree ||
-      config.protocol == protocols::ProtocolKind::kDag;
-
-  plan->ctx.aggregate = spec.aggregate;
-  plan->ctx.combiner =
-      protocols::CombinerFor(spec.aggregate, spec.exact_combiners);
-  plan->ctx.fm.num_vectors = spec.fm_vectors;
-  plan->ctx.d_hat = plan->d_hat;
-  plan->ctx.sketch_seed = config.sketch_seed;
-  plan->ctx.values = &values_;
-
-  plan->protocol_options = config.protocol_options;
-  protocols::RandomizedReportOptions& randomized =
-      plan->protocol_options.randomized;
-  if (config.protocol == protocols::ProtocolKind::kRandomizedReport &&
-      randomized.p_override == 0.0 && randomized.n_estimate <= 1.0) {
-    randomized.n_estimate = static_cast<double>(topo_.num_hosts());
-  }
-  return Status::Ok();
-}
-
-void QueryEngine::ScheduleConfiguredChurn(sim::Simulator* simulator,
-                                          const RunConfig& config,
-                                          double d_hat, HostId hq) const {
-  if (config.churn_removals == 0) return;
-  SimTime horizon = 2.0 * d_hat * simulator->options().delta;
-  Rng churn_rng(config.churn_seed);
-  auto events = sim::MakeUniformChurn(
-      topo_.num_hosts(), hq, config.churn_removals,
-      config.churn_start_frac * horizon, config.churn_end_frac * horizon,
-      &churn_rng);
-  sim::ScheduleChurn(simulator, events);
-}
-
-QueryResult QueryEngine::HarvestResult(const sim::Simulator& simulator,
-                                       const sim::Metrics& metrics,
-                                       const protocols::ProtocolBase& protocol,
-                                       const QuerySpec& spec,
-                                       const RunConfig& config, double d_hat,
-                                       HostId hq, SimTime start_at) const {
-  QueryResult result;
-  result.value = protocol.result().value;
-  result.declared = protocol.result().declared;
-  result.d_hat_used = d_hat;
-  result.resident_state_bytes = protocol.ResidentStateBytes();
-
-  result.cost.messages = metrics.messages_sent();
-  result.cost.bytes = metrics.bytes_sent();
-  result.cost.max_processed = metrics.MaxProcessed();
-  result.cost.declared_at = protocol.result().declared_at;
-  result.cost.last_update_at = protocol.result().last_update_at;
-  result.cost.sends_per_tick = metrics.SendsPerTick();
-  result.cost.computation_histogram = metrics.ComputationCostDistribution();
-
-  // The ORACLE and the exact full aggregate read ground truth for the whole
-  // network; million-host callers that touch a small disc skip them.
-  if (config.compute_validity) {
-    SimTime horizon = 2.0 * d_hat * simulator.options().delta;
-    protocols::OracleReport oracle = protocols::ComputeOracle(
-        simulator, hq, /*t_begin=*/start_at, /*t_end=*/start_at + horizon,
-        spec.aggregate, values_);
-    result.validity.q_low = oracle.q_low;
-    result.validity.q_high = oracle.q_high;
-    result.validity.hc_size = oracle.hc.size();
-    result.validity.hu_size = oracle.hu.size();
-    result.validity.within = result.declared && oracle.Contains(result.value);
-    result.validity.within_slack =
-        result.declared &&
-        oracle.ContainsWithin(result.value, kApproxSlackFactor);
-
-    result.exact_full =
-        ExactAggregateOverAll(spec.aggregate, values_, topo_.num_hosts());
-  }
-  return result;
-}
-
 StatusOr<QueryResult> QueryEngine::Run(const QuerySpec& spec,
                                        const RunConfig& config,
                                        HostId hq) const {
-  RunPlan plan;
-  if (Status status = PlanRun(spec, config, hq, &plan); !status.ok()) {
-    return status;
-  }
-
-  sim::SimOptions sim_options = config.sim_options;
-  sim_options.failure_detection = plan.failure_detection;
-  sim::Simulator simulator(topo_, sim_options);
-  if (ShouldInstallLinkFaults(config.fault)) {
-    simulator.InstallFaults(&config.fault);
-  }
-  ScheduleConfiguredChurn(&simulator, config, plan.d_hat, hq);
-
-  std::unique_ptr<protocols::ProtocolBase> protocol = protocols::MakeProtocol(
-      config.protocol, &simulator, plan.ctx, plan.protocol_options);
-  ByzantineRig rig;
-  simulator.AttachProgram(MaybeInterpose(config.protocol, config.fault,
-                                         plan.ctx.combiner, plan.ctx.fm,
-                                         topo_.num_hosts(), protocol.get(),
-                                         hq, &rig));
-  protocol->Start(hq);
-  simulator.Run();
-
-  return HarvestResult(simulator, simulator.metrics(), *protocol, spec,
-                       config, plan.d_hat, hq);
-}
-
-Status QueryEngine::CheckSession(const sim::SimulatorSession& session,
-                                 const RunConfig& config) const {
-  if (!session.topology().SameAs(topo_)) {
-    return Status::InvalidArgument(
-        "session was built over a different topology than this engine");
-  }
-  const sim::SimOptions& built = session.simulator().options();
-  if (built.delta != config.sim_options.delta ||
-      built.medium != config.sim_options.medium ||
-      built.heartbeat_interval != config.sim_options.heartbeat_interval) {
-    return Status::InvalidArgument(
-        "session structural sim options (delta, medium, heartbeat) do not "
-        "match the run config");
-  }
-  return Status::Ok();
+  sim::SimulatorSession session(topo_, config.sim_options);
+  return Run(&session, spec, config, hq);
 }
 
 StatusOr<QueryResult> QueryEngine::Run(sim::SimulatorSession* session,
                                        const QuerySpec& spec,
                                        const RunConfig& config,
                                        HostId hq) const {
-  VALIDITY_CHECK(session != nullptr);
-  if (Status status = CheckSession(*session, config); !status.ok()) {
-    return status;
-  }
-  RunPlan plan;
-  if (Status status = PlanRun(spec, config, hq, &plan); !status.ok()) {
-    return status;
-  }
-
-  session->Reset();
-  sim::Simulator& simulator = session->simulator();
-  simulator.set_failure_detection(plan.failure_detection);
-  simulator.set_max_events(config.sim_options.max_events);
-  if (ShouldInstallLinkFaults(config.fault)) {
-    simulator.InstallFaults(&config.fault);
-  }
-  ScheduleConfiguredChurn(&simulator, config, plan.d_hat, hq);
-
-  std::unique_ptr<protocols::ProtocolBase> protocol =
-      AcquireSessionProtocol(session, config.protocol, plan);
-  ByzantineRig rig;
-  simulator.AttachProgram(MaybeInterpose(config.protocol, config.fault,
-                                         plan.ctx.combiner, plan.ctx.fm,
-                                         topo_.num_hosts(), protocol.get(),
-                                         hq, &rig));
-  protocol->Start(hq);
-  simulator.Run();
-
-  QueryResult result = HarvestResult(simulator, simulator.metrics(),
-                                     *protocol, spec, config, plan.d_hat, hq);
-  simulator.AttachProgram(nullptr);
-  simulator.InstallFaults(nullptr);
-  session->ParkProgram(static_cast<uint32_t>(config.protocol),
-                       std::move(protocol));
-  return result;
-}
-
-std::unique_ptr<protocols::ProtocolBase> QueryEngine::AcquireSessionProtocol(
-    sim::SimulatorSession* session, protocols::ProtocolKind kind,
-    const RunPlan& plan) const {
-  if (std::unique_ptr<sim::HostProgram> parked =
-          session->TakeParkedProgram(static_cast<uint32_t>(kind))) {
-    std::unique_ptr<protocols::ProtocolBase> protocol(
-        static_cast<protocols::ProtocolBase*>(parked.release()));
-    protocols::ResetProtocol(protocol.get(), kind, plan.ctx,
-                             plan.protocol_options);
-    return protocol;
-  }
-  return protocols::MakeProtocol(kind, &session->simulator(), plan.ctx,
-                                 plan.protocol_options);
+  StatusOr<std::vector<QueryResult>> results =
+      RunConcurrent(session, {ConcurrentQuery{spec, config, hq}});
+  if (!results.ok()) return results.status();
+  return std::move(results->front());
 }
 
 StatusOr<std::vector<QueryResult>> QueryEngine::RunConcurrent(
@@ -254,52 +57,13 @@ StatusOr<std::vector<QueryResult>> QueryEngine::RunConcurrent(
   VALIDITY_CHECK(session != nullptr);
   if (queries.empty()) return std::vector<QueryResult>();
 
-  std::vector<RunPlan> plans(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (Status status = CheckSession(*session, queries[i].config);
-        !status.ok()) {
-      return status;
-    }
-    if (!std::isfinite(queries[i].start_at) || queries[i].start_at < 0.0) {
-      return Status::InvalidArgument(
-          "concurrent query start times must be finite and >= 0");
-    }
-    if (Status status = PlanRun(queries[i].spec, queries[i].config,
-                                queries[i].hq, &plans[i]);
-        !status.ok()) {
-      return status;
-    }
-  }
-
-  // One shared timeline: the network dynamics every query observes must be
-  // identical, so the churn schedule (and everything it derives from) has
-  // to agree across the batch.
-  const RunConfig& base = queries[0].config;
-  for (size_t i = 1; i < queries.size(); ++i) {
-    const RunConfig& config = queries[i].config;
-    if (config.churn_removals != base.churn_removals ||
-        config.churn_seed != base.churn_seed ||
-        config.churn_start_frac != base.churn_start_frac ||
-        config.churn_end_frac != base.churn_end_frac) {
-      return Status::InvalidArgument(
-          "concurrent queries share one network timeline and must agree on "
-          "the churn schedule");
-    }
-    if (!(config.fault == base.fault)) {
-      return Status::InvalidArgument(
-          "concurrent queries share one network timeline and must agree on "
-          "the fault plane");
-    }
-    if (base.churn_removals > 0 &&
-        (plans[i].d_hat != plans[0].d_hat || queries[i].hq != queries[0].hq)) {
-      return Status::InvalidArgument(
-          "churned concurrent queries must share D-hat and the querying "
-          "host (the churn window and the protected host derive from them)");
-    }
-  }
-
-  session->Reset();
-  sim::Simulator& simulator = session->simulator();
+  // One timeline for the batch, profiled on its first query: every query
+  // must agree with it before any of them runs.
+  ServiceOptions timeline =
+      ServiceOptionsFor(queries[0].spec, queries[0].config, queries[0].hq);
+  timeline.max_in_flight = static_cast<uint32_t>(queries.size());
+  std::vector<Arrival> arrivals;
+  std::vector<internal::RunPlan> plans(queries.size());
   bool failure_detection = false;
   // Event budgets guard a whole timeline, and this timeline carries every
   // query of the batch: take the largest finite budget, but let any
@@ -308,81 +72,30 @@ StatusOr<std::vector<QueryResult>> QueryEngine::RunConcurrent(
   uint64_t max_events = 0;
   bool unlimited = false;
   for (size_t i = 0; i < queries.size(); ++i) {
+    const ConcurrentQuery& q = queries[i];
+    arrivals.push_back(Arrival{q.start_at, q.spec, q.config, q.hq});
+    if (Status status = QueryService::PlanLane(*this, *session, timeline,
+                                               /*now=*/0.0, arrivals[i],
+                                               &plans[i]);
+        !status.ok()) {
+      return status;
+    }
     failure_detection = failure_detection || plans[i].failure_detection;
-    uint64_t budget = queries[i].config.sim_options.max_events;
-    if (budget == 0) unlimited = true;
+    const uint64_t budget = q.config.sim_options.max_events;
+    unlimited = unlimited || budget == 0;
     max_events = std::max(max_events, budget);
   }
-  simulator.set_failure_detection(failure_detection);
-  simulator.set_max_events(unlimited ? 0 : max_events);
-  if (ShouldInstallLinkFaults(base.fault)) {
-    simulator.InstallFaults(&base.fault);
-  }
-  ScheduleConfiguredChurn(&simulator, base, plans[0].d_hat, queries[0].hq);
+  timeline.max_events = unlimited ? 0 : max_events;
 
-  struct Lane {
-    std::unique_ptr<protocols::ProtocolBase> protocol;
-    uint32_t park_key = 0;
-    sim::Metrics* metrics = nullptr;
-    // Per-lane byzantine interposition: each lane wraps its own protocol
-    // (protecting its own hq, caching its own stale replays), so a lane's
-    // behavior is bit-identical to its solo run.
-    ByzantineRig rig;
-  };
-  std::vector<Lane> lanes(queries.size());
+  QueryService service(this, session, timeline, failure_detection);
   for (size_t i = 0; i < queries.size(); ++i) {
-    Lane& lane = lanes[i];
-    lane.park_key = static_cast<uint32_t>(queries[i].config.protocol);
-    lane.protocol =
-        AcquireSessionProtocol(session, queries[i].config.protocol, plans[i]);
-    lane.metrics = session->AcquireMetrics();
-    session->mux().Register(
-        lane.protocol->instance_id(),
-        MaybeInterpose(queries[i].config.protocol, queries[i].config.fault,
-                       plans[i].ctx.combiner, plans[i].ctx.fm,
-                       topo_.num_hosts(), lane.protocol.get(), queries[i].hq,
-                       &lane.rig));
-    simulator.AttachInstanceMetrics(lane.protocol->instance_id(),
-                                    lane.metrics);
+    service.Admit(arrivals[i], plans[i]);
   }
-
-  simulator.AttachProgram(&session->mux());
-  // Queries at t=0 start immediately, in batch order; staggered queries are
-  // scheduled onto the shared timeline and fire at their start_at, again in
-  // batch order among equals (deterministic: equal-time events run in
-  // schedule order). A staggered protocol anchors its horizon at its own
-  // Start instant, so its behavior matches a solo query issued at that
-  // time.
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    if (queries[i].start_at == 0.0) {
-      lanes[i].protocol->Start(queries[i].hq);
-    } else {
-      protocols::ProtocolBase* protocol = lanes[i].protocol.get();
-      simulator.ScheduleAt(queries[i].start_at,
-                           [protocol, hq = queries[i].hq] {
-                             protocol->Start(hq);
-                           });
-    }
-  }
-  simulator.Run();
-
-  std::vector<QueryResult> results;
-  results.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    results.push_back(HarvestResult(simulator, *lanes[i].metrics,
-                                    *lanes[i].protocol, queries[i].spec,
-                                    queries[i].config, plans[i].d_hat,
-                                    queries[i].hq, queries[i].start_at));
-  }
-
-  simulator.AttachProgram(nullptr);
-  simulator.InstallFaults(nullptr);
-  for (Lane& lane : lanes) {
-    simulator.DetachInstanceMetrics(lane.protocol->instance_id());
-    session->mux().Unregister(lane.protocol->instance_id());
-    session->ReleaseMetrics(lane.metrics);
-    session->ParkProgram(lane.park_key, std::move(lane.protocol));
-  }
+  service.Drain();
+  // A new service numbers its queries 1, 2, ... in submission order.
+  std::vector<QueryResult> results(queries.size());
+  QueryService::Completion done;
+  while (service.Poll(&done)) results[done.id - 1] = std::move(done.result);
   return results;
 }
 

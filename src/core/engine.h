@@ -9,6 +9,13 @@
 //   core::QueryEngine engine(&g, core::MakeZipfValues(10'000, seed));
 //   auto result = engine.Run(spec, run_config, /*hq=*/0);
 //   // result->value, result->cost.messages, result->validity.within ...
+//
+// Every query runs the same way: as a lane on a QueryService timeline
+// (core/query_service.h), which validates it, opens its lane, retires the
+// lane at its quiescence bound, harvests the result, and parks the
+// protocol. The entry points here only choose the timeline: RunConcurrent
+// is a closed batch on a borrowed session, Run(&session) a one-query batch,
+// and the fresh Run the same batch on a temporary session.
 
 #ifndef VALIDITY_CORE_ENGINE_H_
 #define VALIDITY_CORE_ENGINE_H_
@@ -95,19 +102,19 @@ class QueryEngine {
   /// For kGraph topologies the underlying graph must outlive the engine.
   QueryEngine(topology::Topology topology, std::vector<double> values);
 
-  /// Executes one query. Deterministic in (spec, config, hq), and safe to
-  /// call concurrently from multiple threads: each run builds its own
-  /// simulator/protocol state, and the engine's only shared mutable state
-  /// (the diameter cache) is synchronized. The parallel sweep driver
-  /// (core/sweep.h) relies on this.
+  /// Executes one query on a temporary session. Deterministic in (spec,
+  /// config, hq), and safe to call concurrently from multiple threads: each
+  /// run builds its own session and protocol state, and the engine's only
+  /// shared mutable state (the diameter cache) is synchronized. The
+  /// parallel sweep driver (core/sweep.h) relies on this.
   StatusOr<QueryResult> Run(const QuerySpec& spec, const RunConfig& config,
                             HostId hq) const;
 
-  /// Session-reusing overload: runs the query on `session`'s cached
-  /// simulator instead of building a fresh one — the O(network) build is
-  /// paid once per (graph, sim options) and every query after it costs
-  /// O(touched) (docs/SESSIONS.md). The session must have been built over
-  /// this engine's graph with the same structural sim options as
+  /// Session-reusing overload: a one-query batch on `session`'s cached
+  /// simulator instead of a fresh one — the O(network) build is paid once
+  /// per (graph, sim options) and every query after it costs O(touched)
+  /// (docs/SESSIONS.md). The session must have been built over this
+  /// engine's graph with the same structural sim options as
   /// `config.sim_options` (delta, medium, heartbeat); the per-query knobs
   /// (failure detection, event budget) are retuned here. Resets the session
   /// first, so any prior state on it is discarded. Output is bit-identical
@@ -126,22 +133,24 @@ class QueryEngine {
     /// When this query is issued on the shared timeline. 0 = at the start
     /// (the classic batch); > 0 staggers the query mid-timeline — the
     /// continuous-query shape, where new queries arrive while earlier ones
-    /// are still in flight. The query's horizon, deadlines, and validity
-    /// window all anchor at this instant.
+    /// are still in flight. The query's horizon, deadlines, tick series, and
+    /// validity window all anchor at this instant.
     SimTime start_at = 0.0;
   };
 
-  /// Issues every query at its start_at on one session and runs them in a
-  /// single shared simulated timeline: instance-tagged messages keep the
-  /// queries' traffic apart, and each query gets its own metrics lane, so
-  /// results[i] is bit-identical to running queries[i] alone at the same
-  /// start time (the session/determinism contract, docs/SESSIONS.md).
-  /// Because the network dynamics are shared, all queries must agree on the
-  /// structural sim options and on the churn schedule: identical churn
-  /// fields, and — when churn is active — identical effective D-hat (the
-  /// churn window is derived from it) and identical querying host (churn
-  /// protects hq). Queries without churn may differ freely in protocol,
-  /// spec, hq, and start time.
+  /// A closed batch on one session: each query is submitted at its start_at
+  /// to a QueryService timeline with no lane cap, the timeline is drained,
+  /// and results come back in batch order. Each query's lane keeps its
+  /// traffic and cost report apart, so results[i] is bit-identical to
+  /// running queries[i] alone at the same start time (the determinism
+  /// contract, docs/SESSIONS.md). Because the network dynamics are shared,
+  /// all queries must agree on the structural sim options and with the
+  /// first query on the churn schedule and fault plane — and, when churn is
+  /// active, on the effective D-hat (the churn window derives from it) and
+  /// the querying host (churn protects hq). Queries without churn may
+  /// differ freely in protocol, spec, hq, and start time. Failure detection
+  /// is on if any query needs it; the event budget is the largest finite
+  /// one, unless some query asks for none (0).
   StatusOr<std::vector<QueryResult>> RunConcurrent(
       sim::SimulatorSession* session,
       const std::vector<ConcurrentQuery>& queries) const;
@@ -161,48 +170,6 @@ class QueryEngine {
   }
 
  private:
-  /// The open query-arrival layer reuses the engine's per-run machinery
-  /// (PlanRun validation, churn scheduling, protocol acquisition, result
-  /// harvest) so a service lane is bit-identical to a solo run by
-  /// construction (core/query_service.h).
-  friend class QueryService;
-
-  /// Everything derived from (spec, config, hq) before a run starts.
-  struct RunPlan {
-    double d_hat = 0.0;
-    bool failure_detection = false;
-    protocols::QueryContext ctx;
-    protocols::ProtocolOptions protocol_options;
-  };
-
-  /// Validates the query and fills `plan`; shared by all Run flavors.
-  Status PlanRun(const QuerySpec& spec, const RunConfig& config, HostId hq,
-                 RunPlan* plan) const;
-  /// Session/config compatibility for the session-based flavors.
-  Status CheckSession(const sim::SimulatorSession& session,
-                      const RunConfig& config) const;
-  /// Schedules the configured uniform churn onto `simulator`.
-  void ScheduleConfiguredChurn(sim::Simulator* simulator,
-                               const RunConfig& config, double d_hat,
-                               HostId hq) const;
-  /// Re-arms a protocol instance parked on `session` under this kind, or
-  /// constructs the first one; either way Start() behaves identically.
-  /// Return it with ParkProgram(static_cast<uint32_t>(kind), ...) so its
-  /// warm pages and pools carry to the next query.
-  std::unique_ptr<protocols::ProtocolBase> AcquireSessionProtocol(
-      sim::SimulatorSession* session, protocols::ProtocolKind kind,
-      const RunPlan& plan) const;
-  /// Collects the §6.3 cost report, validity report, and ground truth after
-  /// a completed run. `metrics` is the lane this query's traffic was
-  /// charged to; `start_at` anchors the validity window (staggered
-  /// concurrent queries observe [start_at, start_at + horizon]).
-  QueryResult HarvestResult(const sim::Simulator& simulator,
-                            const sim::Metrics& metrics,
-                            const protocols::ProtocolBase& protocol,
-                            const QuerySpec& spec, const RunConfig& config,
-                            double d_hat, HostId hq,
-                            SimTime start_at = 0.0) const;
-
   topology::Topology topo_;
   std::vector<double> values_;
   mutable std::once_flag diameter_once_;

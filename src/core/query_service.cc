@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 namespace validity::core {
@@ -34,8 +35,7 @@ QueryService::QueryService(const QueryEngine* engine,
 QueryService::QueryService(const QueryEngine* engine,
                            sim::SimulatorSession* session,
                            const ServiceOptions& options)
-    : engine_(engine), session_(session), options_(options) {
-  VALIDITY_CHECK(session != nullptr);
+    : QueryService(engine, session, options, /*failure_detection=*/true) {
   VALIDITY_CHECK(session->topology().SameAs(engine->topology()),
                  "service session must be built over the engine's topology");
   const sim::SimOptions& built = session->simulator().options();
@@ -44,112 +44,132 @@ QueryService::QueryService(const QueryEngine* engine,
           built.medium == options_.sim_options.medium &&
           built.heartbeat_interval == options_.sim_options.heartbeat_interval,
       "service structural sim options must match the borrowed session's");
+}
+
+QueryService::QueryService(const QueryEngine* engine,
+                           sim::SimulatorSession* session,
+                           const ServiceOptions& options,
+                           bool failure_detection)
+    : engine_(engine),
+      session_(session),
+      options_(options),
+      failure_detection_(failure_detection) {
+  VALIDITY_CHECK(session != nullptr);
   session_->Reset();
   ArmTimeline();
 }
 
 QueryService::~QueryService() {
-  // NOLINT-DETERMINISM(unordered-iteration): destructor teardown; each
-  // running lane is detached independently and nothing observable
-  // survives, so visit order cannot leak into results.
-  for (auto& [id, q] : queries_) {
-    if (q->phase == Phase::kRunning) DetachLane(q.get());
-  }
-  sim::Simulator& sim = session_->simulator();
-  sim.AttachProgram(nullptr);
-  sim.InstallFaults(nullptr);
+  ParkAll();
+  session_->simulator().InstallFaults(nullptr);
 }
 
 void QueryService::ArmTimeline() {
   VALIDITY_CHECK(options_.max_in_flight >= 1,
                  "the service needs at least one lane");
-  VALIDITY_CHECK(options_.churn_removals == 0 ||
-                     options_.churn_hq < session_->simulator().num_hosts(),
-                 "churn-protected host out of range");
-  churn_d_hat_ = options_.churn_d_hat > 0.0
-                     ? options_.churn_d_hat
-                     : static_cast<double>(engine_->EstimatedDiameter()) +
-                           kDefaultDiameterMargin;
-  churn_end_time_ =
-      options_.churn_removals > 0
-          ? options_.churn_end_frac * 2.0 * churn_d_hat_ *
-                options_.sim_options.delta
-          : 0.0;
-
   sim::Simulator& sim = session_->simulator();
-  // Always on: detect events are uncharged and ignored by protocols that do
-  // not subscribe, so a lane whose solo run had detection off still matches
-  // bit-for-bit — and lanes that need it (tree/DAG) can arrive at any time,
-  // long after the churn events were scheduled.
-  sim.set_failure_detection(true);
+  VALIDITY_CHECK(options_.churn_removals == 0 ||
+                     options_.churn_hq < sim.num_hosts(),
+                 "churn-protected host out of range");
+  churn_d_hat_ = internal::ResolveDHat(*engine_, options_.churn_d_hat);
+
+  // An open service keeps detection on: detect events are uncharged and
+  // ignored by protocols that do not subscribe, so a lane whose direct run
+  // had detection off still matches bit-for-bit — and lanes that need it
+  // (tree/DAG) can arrive at any time, long after the churn events were
+  // scheduled.
+  sim.set_failure_detection(failure_detection_);
   sim.set_max_events(options_.max_events);
   if (internal::ShouldInstallLinkFaults(options_.fault)) {
     sim.InstallFaults(&options_.fault);
   }
-  RunConfig churn_config;
-  churn_config.churn_removals = options_.churn_removals;
-  churn_config.churn_start_frac = options_.churn_start_frac;
-  churn_config.churn_end_frac = options_.churn_end_frac;
-  churn_config.churn_seed = options_.churn_seed;
-  engine_->ScheduleConfiguredChurn(&sim, churn_config, churn_d_hat_,
-                                   options_.churn_hq);
-  sim.AttachProgram(&session_->mux());
+  internal::ScheduleConfiguredChurn(*engine_, &sim, options_, churn_d_hat_,
+                                    options_.churn_hq);
 }
 
-SimTime QueryService::Now() const { return session_->simulator().Now(); }
+Status QueryService::PlanLane(const QueryEngine& engine,
+                              const sim::SimulatorSession& session,
+                              const ServiceOptions& timeline, SimTime now,
+                              const Arrival& arrival,
+                              internal::RunPlan* plan) {
+  const RunConfig& config = arrival.config;
+  if (!session.topology().SameAs(engine.topology())) {
+    return Status::InvalidArgument(
+        "session was built over a different topology than this engine");
+  }
+  const sim::SimOptions& built = session.simulator().options();
+  if (built.delta != config.sim_options.delta ||
+      built.medium != config.sim_options.medium ||
+      built.heartbeat_interval != config.sim_options.heartbeat_interval) {
+    return Status::InvalidArgument(
+        "session structural sim options (delta, medium, heartbeat) do not "
+        "match the run config");
+  }
+  if (!std::isfinite(arrival.submit_time) || arrival.submit_time < now) {
+    return Status::InvalidArgument(
+        "start time must be finite and >= the timeline's current time");
+  }
+  if (Status status = internal::PlanRun(engine, arrival.spec, config,
+                                        arrival.hq, plan);
+      !status.ok()) {
+    return status;
+  }
+  // One shared timeline: the network dynamics every query observes must be
+  // identical.
+  if (config.churn_removals != timeline.churn_removals ||
+      config.churn_seed != timeline.churn_seed ||
+      config.churn_start_frac != timeline.churn_start_frac ||
+      config.churn_end_frac != timeline.churn_end_frac) {
+    return Status::InvalidArgument(
+        "queries share one network timeline and must agree on its churn "
+        "schedule");
+  }
+  if (!(config.fault == timeline.fault)) {
+    return Status::InvalidArgument(
+        "queries share one network timeline and must agree on its fault "
+        "plane");
+  }
+  if (timeline.churn_removals > 0 &&
+      (plan->d_hat != internal::ResolveDHat(engine, timeline.churn_d_hat) ||
+       arrival.hq != timeline.churn_hq)) {
+    return Status::InvalidArgument(
+        "churned queries must share the timeline's D-hat and querying host "
+        "(the churn window and the protected host derive from them)");
+  }
+  return Status::Ok();
+}
 
 StatusOr<QueryService::QueryId> QueryService::Submit(SimTime submit_time,
                                                      const QuerySpec& spec,
                                                      const RunConfig& config,
                                                      HostId hq) {
-  if (Status s = engine_->CheckSession(*session_, config); !s.ok()) return s;
-  if (!std::isfinite(submit_time) || submit_time < Now()) {
-    return Status::InvalidArgument(
-        "submit time must be finite and >= the timeline's current time");
+  const Arrival arrival{submit_time, spec, config, hq};
+  internal::RunPlan plan;
+  if (Status status =
+          PlanLane(*engine_, *session_, options_, Now(), arrival, &plan);
+      !status.ok()) {
+    return status;
   }
-  QueryEngine::RunPlan plan;
-  if (Status s = engine_->PlanRun(spec, config, hq, &plan); !s.ok()) return s;
   if (config.sim_options.max_events != 0 &&
       config.sim_options.max_events != options_.max_events) {
     return Status::InvalidArgument(
         "the service timeline owns the event budget; set "
         "ServiceOptions.max_events instead of a per-query one");
   }
-  // One shared timeline: the same agreement RunConcurrent demands of a
-  // batch, checked against the ServiceOptions the timeline was armed with.
-  if (config.churn_removals != options_.churn_removals ||
-      config.churn_seed != options_.churn_seed ||
-      config.churn_start_frac != options_.churn_start_frac ||
-      config.churn_end_frac != options_.churn_end_frac) {
-    return Status::InvalidArgument(
-        "queries share the service timeline and must carry its churn "
-        "schedule");
-  }
-  if (!(config.fault == options_.fault)) {
-    return Status::InvalidArgument(
-        "queries share the service timeline and must carry its fault plane");
-  }
-  if (options_.churn_removals > 0 &&
-      (plan.d_hat != churn_d_hat_ || hq != options_.churn_hq)) {
-    return Status::InvalidArgument(
-        "churned queries must share the timeline's D-hat and querying host "
-        "(the churn window and the protected host derive from them)");
-  }
+  return Admit(arrival, plan);
+}
 
-  QueryId id = next_id_++;
-  auto state = std::make_unique<QueryState>();
-  state->id = id;
-  state->arrival = Arrival{submit_time, spec, config, hq};
-  state->plan = plan;
-  trace_.arrivals.push_back(state->arrival);
-  queries_.emplace(id, std::move(state));
-  ++submitted_;
-  if (submit_time == 0.0 && Now() == 0.0 && !timeline_started_) {
-    // Mirror RunConcurrent's t=0 path: Start runs before any event of the
-    // t=0 bucket executes, exactly like the pre-loop Start of a batch.
+QueryService::QueryId QueryService::Admit(const Arrival& arrival,
+                                          const internal::RunPlan& plan) {
+  const QueryId id = next_id_++;
+  QueryState& q = queries_[id];
+  q.arrival = arrival;
+  q.plan = plan;
+  trace_.arrivals.push_back(arrival);
+  if (arrival.submit_time == 0.0 && !timeline_started_) {
     OnArrival(id);
   } else {
-    session_->simulator().ScheduleAt(submit_time,
+    session_->simulator().ScheduleAt(arrival.submit_time,
                                      [this, id] { OnArrival(id); });
   }
   return id;
@@ -158,89 +178,91 @@ StatusOr<QueryService::QueryId> QueryService::Submit(SimTime submit_time,
 void QueryService::OnArrival(QueryId id) {
   auto it = queries_.find(id);
   VALIDITY_DCHECK(it != queries_.end());
-  QueryState* q = it->second.get();
-  if (q->phase == Phase::kCancelled) {
+  QueryState& q = it->second;
+  if (q.phase == Phase::kCancelled) {
     queries_.erase(it);
-    return;
-  }
-  if (in_flight_ < options_.max_in_flight) {
-    StartLane(q);
+  } else if (in_flight_ < options_.max_in_flight) {
+    StartLane(id);
   } else {
-    q->phase = Phase::kDeferred;
+    q.phase = Phase::kDeferred;
     deferred_.push_back(id);
   }
 }
 
-void QueryService::StartLane(QueryState* q) {
+void QueryService::StartLane(QueryId id) {
   sim::Simulator& sim = session_->simulator();
-  q->phase = Phase::kRunning;
-  q->started_at = sim.Now();
-  q->retire_at = RetireTimeFor(*q, q->started_at);
-  q->protocol = engine_->AcquireSessionProtocol(
-      session_, q->arrival.config.protocol, q->plan);
-  q->metrics = session_->AcquireMetrics();
-  session_->mux().Register(
-      q->protocol->instance_id(),
-      internal::MaybeInterpose(q->arrival.config.protocol,
-                               q->arrival.config.fault, q->plan.ctx.combiner,
-                               q->plan.ctx.fm, sim.num_hosts(),
-                               q->protocol.get(), q->arrival.hq, &q->rig));
-  sim.AttachInstanceMetrics(q->protocol->instance_id(), q->metrics);
+  QueryState& q = queries_.at(id);
+  const RunConfig& config = q.arrival.config;
+  q.phase = Phase::kRunning;
+  q.started_at = sim.Now();
+  // Re-arm a protocol instance parked under this kind (warm pages and
+  // pools), or construct the first one; Start() behaves identically.
+  std::unique_ptr<sim::HostProgram> parked =
+      session_->TakeParkedProgram(static_cast<uint32_t>(config.protocol));
+  q.protocol = protocols::MakeProtocol(
+      config.protocol, &sim, q.plan.ctx, q.plan.protocol_options,
+      std::unique_ptr<protocols::ProtocolBase>(
+          static_cast<protocols::ProtocolBase*>(parked.release())));
+  // Byzantine interposition is per lane: each lane wraps its own protocol
+  // (protecting its own hq, caching its own stale replays).
+  q.metrics = &sim.OpenLane(
+      q.protocol->instance_id(),
+      internal::MaybeInterpose(config.protocol, config.fault,
+                               q.plan.ctx.combiner, q.plan.ctx.fm,
+                               sim.num_hosts(), q.protocol.get(),
+                               q.arrival.hq, &q.rig));
   ++in_flight_;
   peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
-  q->protocol->Start(q->arrival.hq);
-  sim.ScheduleAt(q->retire_at, [this, id = q->id] { OnRetire(id); });
+  q.protocol->Start(q.arrival.hq);
+  sim.ScheduleAt(RetireTimeFor(q), [this, id] { OnRetire(id); });
 }
 
 void QueryService::OnRetire(QueryId id) {
-  auto it = queries_.find(id);
-  VALIDITY_DCHECK(it != queries_.end());
-  // Detach from the map first: the completion callback may Submit follow-up
-  // queries, which would invalidate `it`.
-  std::unique_ptr<QueryState> q = std::move(it->second);
-  queries_.erase(it);
+  // Extract first: the completion callback may Submit or Cancel, and the
+  // node handle keeps this query's state in place meanwhile.
+  auto node = queries_.extract(id);
+  VALIDITY_DCHECK(!node.empty());
+  QueryState& q = node.mapped();
   VALIDITY_DCHECK(in_flight_ > 0);
   --in_flight_;
-  if (q->phase == Phase::kRunning) {
-    Completion done;
-    done.id = id;
-    done.submitted_at = q->arrival.submit_time;
-    done.started_at = q->started_at;
-    done.retired_at = session_->simulator().Now();
-    done.result = engine_->HarvestResult(
-        session_->simulator(), *q->metrics, *q->protocol, q->arrival.spec,
-        q->arrival.config, q->plan.d_hat, q->arrival.hq, q->started_at);
-    DetachLane(q.get());
-    ++completed_;
-    if (on_completion_) on_completion_(done);
-    completions_.push_back(std::move(done));
+  // A cancelled lane kept its slot (muted) until this instant, so
+  // admission transitions stay on scheduled events; it has no result.
+  std::optional<Completion> done;
+  if (q.phase == Phase::kRunning) {
+    done = Completion{id, q.arrival.submit_time, q.started_at, Now(),
+                      internal::HarvestResult(
+                          *engine_, session_->simulator(), *q.metrics,
+                          *q.protocol, q.arrival.spec, q.arrival.config,
+                          q.plan.d_hat, q.arrival.hq, q.started_at)};
   }
-  // A retirement frees exactly one lane slot (cancelled lanes keep theirs
-  // occupied until here, so admission transitions stay on scheduled
-  // events); deferred queries start strictly in arrival order.
+  ParkLane(&q);
+  if (done) {
+    ++completed_;
+    if (on_completion_) on_completion_(*done);
+    completions_.push_back(std::move(*done));
+  }
+  // Deferred queries start strictly in arrival order.
   while (in_flight_ < options_.max_in_flight && !deferred_.empty()) {
     QueryId next_id = deferred_.front();
     deferred_.pop_front();
-    StartLane(queries_.at(next_id).get());
+    StartLane(next_id);
   }
 }
 
-void QueryService::DetachLane(QueryState* q) {
-  sim::Simulator& sim = session_->simulator();
-  const uint32_t instance_id = q->protocol->instance_id();
-  sim.DetachInstanceMetrics(instance_id);
-  session_->mux().Unregister(instance_id);
-  session_->ReleaseMetrics(q->metrics);
-  q->metrics = nullptr;
+void QueryService::ParkLane(QueryState* q) {
+  session_->simulator().CloseLane(q->protocol->instance_id());
   session_->ParkProgram(static_cast<uint32_t>(q->arrival.config.protocol),
                         std::move(q->protocol));
-  // Unreachable from the mux now; any in-flight traffic of this instance is
-  // dropped on delivery, exactly like a stale epoch's.
-  q->rig = {};
 }
 
-SimTime QueryService::RetireTimeFor(const QueryState& q,
-                                    SimTime started) const {
+void QueryService::ParkAll() {
+  for (auto& [id, q] : queries_) {
+    if (q.protocol != nullptr) ParkLane(&q);
+  }
+}
+
+SimTime QueryService::RetireTimeFor(const QueryState& q) const {
+  const SimTime started = q.started_at;
   const sim::SimOptions& so = session_->simulator().options();
   const double delta = so.delta;
   const sim::FaultSpec& fault = options_.fault;
@@ -257,7 +279,9 @@ SimTime QueryService::RetireTimeFor(const QueryState& q,
   // t_fail + T_hb + delta) can trigger a report cascade of up to one hop
   // per tree level.
   if (q.plan.failure_detection && options_.churn_removals > 0) {
-    SimTime detect = churn_end_time_ + so.heartbeat_interval + delta;
+    const SimTime churn_end =
+        options_.churn_end_frac * 2.0 * churn_d_hat_ * delta;
+    SimTime detect = churn_end + so.heartbeat_interval + delta;
     quiet = std::max(quiet, std::max(started + horizon, detect) +
                                 (2.0 * d_hat + 2.0) * hop);
   }
@@ -280,29 +304,26 @@ Status QueryService::Cancel(QueryId id) {
   if (it == queries_.end()) {
     return Status::NotFound("unknown or already-completed query id");
   }
-  QueryState* q = it->second.get();
-  switch (q->phase) {
+  QueryState& q = it->second;
+  switch (q.phase) {
     case Phase::kScheduled:
-      q->phase = Phase::kCancelled;  // the arrival event discards it
-      ++cancelled_;
-      return Status::Ok();
+      q.phase = Phase::kCancelled;  // the arrival event discards it
+      break;
     case Phase::kDeferred:
       deferred_.erase(std::find(deferred_.begin(), deferred_.end(), id));
       queries_.erase(it);
-      ++cancelled_;
-      return Status::Ok();
+      break;
     case Phase::kRunning:
-      // Routing and accounting detach now (in-flight traffic drops at the
-      // mux); the lane slot frees at the original retirement instant so
-      // admission stays on scheduled events.
-      DetachLane(q);
-      q->phase = Phase::kCancelled;
-      ++cancelled_;
-      return Status::Ok();
+      // The lane mutes now (its in-flight traffic is dropped) and closes at
+      // the original retirement instant.
+      session_->simulator().MuteLane(q.protocol->instance_id());
+      q.phase = Phase::kCancelled;
+      break;
     case Phase::kCancelled:
       return Status::FailedPrecondition("query already cancelled");
   }
-  return Status::Internal("unreachable");
+  ++cancelled_;
+  return Status::Ok();
 }
 
 void QueryService::RunUntil(SimTime t) {
@@ -328,12 +349,7 @@ void QueryService::set_on_completion(
 }
 
 void QueryService::Reset() {
-  // NOLINT-DETERMINISM(unordered-iteration): reset teardown; every lane
-  // is detached and the whole table cleared below, so visit order is
-  // unobservable (the rebuilt timeline starts from nothing).
-  for (auto& [id, q] : queries_) {
-    if (q->phase == Phase::kRunning) DetachLane(q.get());
-  }
+  ParkAll();
   queries_.clear();
   deferred_.clear();
   completions_.clear();
@@ -342,9 +358,8 @@ void QueryService::Reset() {
   peak_in_flight_ = 0;
   timeline_started_ = false;
   // Rewinds the timeline (pending arrival/retire closures and message slab
-  // references drain through EventQueue::Clear) and drops the mux, fault,
-  // and instance-metrics attachments; warm parked protocols and metrics
-  // lanes survive for the next epoch.
+  // references drain through EventQueue::Clear) and drops the fault plane;
+  // warm parked protocols and lane Metrics survive for the next epoch.
   session_->Reset();
   ArmTimeline();
 }
@@ -353,28 +368,20 @@ StatusOr<std::vector<QueryService::Completion>> QueryService::Replay(
     const QueryEngine& engine, const ServiceOptions& options,
     const ArrivalTrace& trace) {
   QueryService service(&engine, options);
-  std::vector<QueryId> ids;
-  ids.reserve(trace.arrivals.size());
   for (const Arrival& a : trace.arrivals) {
     StatusOr<QueryId> id = service.Submit(a.submit_time, a.spec, a.config,
                                           a.hq);
     if (!id.ok()) return id.status();
-    ids.push_back(id.value());
   }
   service.Drain();
-  // NOLINT-DETERMINISM(unordered-container): lookup-only index; results
-  // are emitted in the trace's arrival order below, never in map order.
-  std::unordered_map<QueryId, Completion> by_id;
+  if (service.completed() != trace.arrivals.size()) {
+    return Status::Internal("replayed query did not complete");
+  }
+  // A new service numbers its queries 1, 2, ... in trace order.
+  std::vector<Completion> in_arrival_order(trace.arrivals.size());
   Completion done;
-  while (service.Poll(&done)) by_id.emplace(done.id, std::move(done));
-  std::vector<Completion> in_arrival_order;
-  in_arrival_order.reserve(ids.size());
-  for (QueryId id : ids) {
-    auto it = by_id.find(id);
-    if (it == by_id.end()) {
-      return Status::Internal("replayed query did not complete");
-    }
-    in_arrival_order.push_back(std::move(it->second));
+  while (service.Poll(&done)) {
+    in_arrival_order[done.id - 1] = std::move(done);
   }
   return in_arrival_order;
 }

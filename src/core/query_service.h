@@ -1,21 +1,20 @@
-// QueryService: the open query-arrival layer (ROADMAP item 2).
+// QueryService: the one timeline-and-lanes core every query runs on.
 //
-// RunConcurrent serves a closed batch known up front; production traffic is
-// an open stream. A QueryService owns one long-lived churning timeline (a
-// SimulatorSession) onto which queries are *submitted* at arbitrary
-// simulated times, admitted to a bounded set of instance lanes (the
-// kInstanceTagShift tagging + per-query Metrics lanes RunConcurrent
-// introduced), and completed through a poll/callback API as the timeline
-// advances.
+// A QueryService owns one long-lived timeline (a SimulatorSession) onto
+// which queries are *submitted* at simulated times, admitted to a bounded
+// set of lanes, and completed through a poll/callback API as the timeline
+// advances. Every query the library runs is a lane here: RunConcurrent is a
+// closed batch with no lane cap, and both QueryEngine::Run overloads are
+// one-query batches. Arming the timeline (ArmTimeline), validating a query
+// (PlanLane), opening its lane (StartLane), and retiring, harvesting, and
+// parking it (OnRetire, ParkLane) each have this one implementation.
 //
 // Determinism contract (docs/SERVICE.md, tests/query_service_test.cc):
 // every completed query's QueryResult is bit-identical, field for field, to
-// a solo run of the same query issued at the same start time —
-// QueryEngine::Run for queries started at t=0, a single-query staggered
-// RunConcurrent otherwise. The recorded ArrivalTrace replayed into a fresh
-// service reproduces the live run exactly. This extends the
-// fresh == session-reused == concurrent fingerprint matrix with a fourth
-// column, `service`.
+// the same query run directly on a simulator with nothing else attached
+// (ReferenceRun in tests/fingerprint_matrix.h) and started at the same
+// time. A recorded ArrivalTrace replayed into a fresh service reproduces
+// the live run exactly.
 //
 // How a lane stays solo-identical while being recycled:
 //
@@ -24,24 +23,26 @@
 //    submit_time; if all lanes are busy the query joins a FIFO queue and
 //    starts inside the retirement event that frees a lane. Equal-time
 //    events run in schedule order (the calendar queue's per-bucket FIFO),
-//    so ties are deterministic too.
+//    so ties are deterministic too. Submissions at t=0 made before the
+//    timeline first advances start synchronously, ahead of every t=0 event.
 //
 //  - A lane retires at a conservative, protocol-aware *quiescence bound*
 //    computed from the query's plan (horizon 2*D-hat*delta, plus fault
 //    delay tails, the heartbeat-detection + eager-convergecast cascade for
 //    tree/DAG, and gossip's fixed round ladder). Until that instant the
-//    lane's protocol, mux registration, and metrics lane stay attached, so
-//    every late delivery is routed and charged exactly as in the solo run.
-//    Harvesting at the bound is equivalent to harvesting at end-of-run: the
-//    oracle reads only liveness inside [start, start + horizon], which is
-//    fully executed by then.
+//    lane stays open, so every late delivery is routed and charged exactly
+//    as in a direct run. Harvesting at the bound is equivalent to
+//    harvesting at end-of-run: the oracle reads only liveness inside
+//    [start, start + horizon], which is fully executed by then. Traffic
+//    that outlives its lane is counted (Simulator::unrouted_events), so a
+//    bound that is too short shows up as a nonzero count.
 //
 //  - The network dynamics are properties of the *timeline*, not of a query:
 //    churn schedule and fault plane come from ServiceOptions, are armed
-//    once at construction, and every submitted config must agree with them
-//    (the same validation RunConcurrent applies to a batch). Failure
-//    detection is always on — detect events are uncharged and ignored by
-//    protocols that do not subscribe, so solo runs without it still match.
+//    once, and every submitted config must agree with them. Protocol
+//    instance ids are process-global and never reused, so traffic of a
+//    retired lane, a cancelled lane, or an earlier epoch is dropped instead
+//    of reaching a live lane.
 //
 // Sessions are single-threaded, and so is a service. For sweep-style
 // service benchmarks across worker threads, give each worker its own
@@ -53,8 +54,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine.h"
@@ -64,8 +65,7 @@ namespace validity::core {
 
 /// Timeline-level configuration: everything shared by all queries a service
 /// will ever run. The churn fields mirror RunConfig's; submitted configs
-/// must carry identical values (Submit validates), exactly as concurrent
-/// batch members must.
+/// must carry identical values (Submit validates).
 struct ServiceOptions {
   /// Structural simulator knobs (delta, medium, heartbeat). The per-query
   /// fields are owned by the service: failure_detection is forced on for
@@ -146,17 +146,18 @@ class QueryService {
   ~QueryService();
 
   /// Submits a query arriving at `submit_time` (simulated; must be >= the
-  /// timeline's current time). Validates like RunConcurrent: structural sim
-  /// options must match the session, the config's churn/fault fields must
-  /// equal the timeline's, and churned queries must plan to the timeline's
-  /// D-hat and hq. The query starts at submit_time if a lane is free, else
-  /// when one retires (FIFO). Recorded in trace().
+  /// timeline's current time). Structural sim options must match the
+  /// session, the config's churn/fault fields must equal the timeline's,
+  /// churned queries must plan to the timeline's D-hat and hq, and a
+  /// per-query event budget must be unset or the timeline's. The query
+  /// starts at submit_time if a lane is free, else when one retires (FIFO).
+  /// Recorded in trace().
   StatusOr<QueryId> Submit(SimTime submit_time, const QuerySpec& spec,
                            const RunConfig& config, HostId hq);
 
   /// Withdraws a query. Scheduled/deferred queries simply never start. A
-  /// running query's lane is detached immediately — its in-flight traffic
-  /// is dropped by the mux from now on — but the lane slot frees at the
+  /// running query's lane is muted immediately — its in-flight traffic is
+  /// dropped from now on — but the lane closes and its slot frees at the
   /// query's original retirement instant, keeping admission transitions on
   /// scheduled events (deterministic). Cancellation is an external control
   /// action: it is NOT recorded in the ArrivalTrace, so a replayed trace
@@ -182,7 +183,7 @@ class QueryService {
   /// Abandons everything — pending arrivals, deferred queue, running lanes,
   /// unconsumed completions, the recorded trace — and rewinds the timeline
   /// to t=0 (a fresh session epoch, O(touched)). Warm protocol instances
-  /// and metrics lanes are kept parked for reuse.
+  /// and lane Metrics are kept for reuse.
   void Reset();
 
   /// Replays a recorded trace into a fresh service over `engine` and drains
@@ -194,7 +195,7 @@ class QueryService {
 
   // --- introspection ----------------------------------------------------
 
-  SimTime Now() const;
+  SimTime Now() const { return session_->simulator().Now(); }
   const ServiceOptions& options() const { return options_; }
   const ArrivalTrace& trace() const { return trace_; }
   sim::SimulatorSession& session() { return *session_; }
@@ -207,66 +208,86 @@ class QueryService {
   /// High-water mark of in_flight() — never exceeds max_in_flight.
   uint32_t peak_in_flight() const { return peak_in_flight_; }
   size_t deferred() const { return deferred_.size(); }
-  uint64_t submitted() const { return submitted_; }
+  uint64_t submitted() const { return next_id_ - 1; }
   uint64_t completed() const { return completed_; }
   uint64_t cancelled() const { return cancelled_; }
 
  private:
+  // The closed-batch entry points run on the private batch constructor,
+  // PlanLane, and Admit.
+  friend class QueryEngine;
+
   enum class Phase : uint8_t { kScheduled, kDeferred, kRunning, kCancelled };
 
-  /// Everything the service tracks per submitted query; stable address
-  /// (unique_ptr in the map) because the fault interposer and the arrival/
-  /// retire closures point into it.
+  /// Everything the service tracks per submitted query. Map nodes keep
+  /// their address, which the byzantine rig (pointing at arrival's fault
+  /// spec) and the lane table rely on while the query runs.
   struct QueryState {
-    QueryId id = 0;
     Arrival arrival;
-    QueryEngine::RunPlan plan;
+    internal::RunPlan plan;
     Phase phase = Phase::kScheduled;
     SimTime started_at = 0.0;
-    SimTime retire_at = 0.0;
-    // Lane machinery, live while running:
+    // The lane, open from StartLane until ParkLane:
     std::unique_ptr<protocols::ProtocolBase> protocol;
-    sim::Metrics* metrics = nullptr;
+    const sim::Metrics* metrics = nullptr;
     internal::ByzantineRig rig;
   };
 
-  /// Arms the timeline on a pristine session epoch: failure detection,
-  /// event budget, fault plane, churn schedule, mux attachment.
+  /// A closed batch's timeline: failure detection on only if a plan needs
+  /// it. PlanLane has already checked every query against `session`.
+  QueryService(const QueryEngine* engine, sim::SimulatorSession* session,
+               const ServiceOptions& options, bool failure_detection);
+
+  /// The one admission check, shared by batch and service: the session is
+  /// built over the engine's topology with the query's structural sim
+  /// options, the query plans (internal::PlanRun), it carries `timeline`'s
+  /// churn schedule and fault plane, a churned query shares the timeline's
+  /// D-hat and protected host, and it starts at a finite time >= `now`.
+  static Status PlanLane(const QueryEngine& engine,
+                         const sim::SimulatorSession& session,
+                         const ServiceOptions& timeline, SimTime now,
+                         const Arrival& arrival, internal::RunPlan* plan);
+  /// Records a query PlanLane admitted and starts it at its submit time.
+  QueryId Admit(const Arrival& arrival, const internal::RunPlan& plan);
+
+  /// Arms a pristine session epoch: failure detection, event budget, fault
+  /// plane, churn schedule.
   void ArmTimeline();
   void OnArrival(QueryId id);
-  void StartLane(QueryState* q);
+  /// Opens the query's lane and starts it; schedules its retirement.
+  void StartLane(QueryId id);
+  /// At the quiescence bound: harvests a running query, closes its lane,
+  /// and admits deferred queries into the freed slot.
   void OnRetire(QueryId id);
-  /// Returns the lane's routing and accounting attachments to the session
-  /// (metrics released, protocol parked). The slot itself frees in OnRetire.
-  void DetachLane(QueryState* q);
+  /// Closes the query's simulator lane and parks its protocol on the
+  /// session for the next query of that kind.
+  void ParkLane(QueryState* q);
+  /// Closes every open lane; the teardown of the destructor and Reset().
+  void ParkAll();
   /// The deterministic quiescence bound: no event of this lane can execute
   /// at or after the returned instant.
-  SimTime RetireTimeFor(const QueryState& q, SimTime started) const;
+  SimTime RetireTimeFor(const QueryState& q) const;
 
   const QueryEngine* engine_;
   std::unique_ptr<sim::SimulatorSession> owned_session_;
   sim::SimulatorSession* session_;
   ServiceOptions options_;
+  bool failure_detection_ = true;
   double churn_d_hat_ = 0.0;
-  /// Absolute end of the timeline's churn window (0 without churn).
-  SimTime churn_end_time_ = 0.0;
 
   QueryId next_id_ = 1;
-  // NOLINT-DETERMINISM(unordered-container): keyed lookup per arrival/
-  // completion; the only iterations are the ~QueryService/Reset teardown
-  // walks, which are annotated order-independent at the loop sites.
-  std::unordered_map<QueryId, std::unique_ptr<QueryState>> queries_;
+  /// Queries not yet completed or discarded, by id.
+  std::map<QueryId, QueryState> queries_;
   std::deque<QueryId> deferred_;
   std::deque<Completion> completions_;
   std::function<void(const Completion&)> on_completion_;
   ArrivalTrace trace_;
   /// False until the first RunUntil/Drain: t=0 submissions before then
-  /// start synchronously, mirroring RunConcurrent's pre-loop Start path.
+  /// start synchronously.
   bool timeline_started_ = false;
 
   uint32_t in_flight_ = 0;
   uint32_t peak_in_flight_ = 0;
-  uint64_t submitted_ = 0;
   uint64_t completed_ = 0;
   uint64_t cancelled_ = 0;
 };

@@ -20,63 +20,47 @@ const char* ProtocolKindName(ProtocolKind kind) {
   return "?";
 }
 
-std::unique_ptr<ProtocolBase> MakeProtocol(ProtocolKind kind,
-                                           sim::Simulator* sim,
-                                           QueryContext ctx,
-                                           const ProtocolOptions& options) {
+namespace {
+
+template <typename Protocol, typename Options>
+std::unique_ptr<ProtocolBase> MakeOrRearm(std::unique_ptr<ProtocolBase> reuse,
+                                          sim::Simulator* sim,
+                                          QueryContext ctx,
+                                          const Options& options) {
+  if (reuse == nullptr) {
+    return std::make_unique<Protocol>(sim, std::move(ctx), options);
+  }
+  static_cast<Protocol*>(reuse.get())->ResetForQuery(std::move(ctx), options);
+  return reuse;
+}
+
+}  // namespace
+
+std::unique_ptr<ProtocolBase> MakeProtocol(
+    ProtocolKind kind, sim::Simulator* sim, QueryContext ctx,
+    const ProtocolOptions& options, std::unique_ptr<ProtocolBase> reuse) {
   switch (kind) {
     case ProtocolKind::kAllReport:
-      return std::make_unique<AllReportProtocol>(sim, std::move(ctx),
-                                                 options.all_report);
+      return MakeOrRearm<AllReportProtocol>(std::move(reuse), sim,
+                                            std::move(ctx), options.all_report);
     case ProtocolKind::kRandomizedReport:
-      return std::make_unique<RandomizedReportProtocol>(sim, std::move(ctx),
-                                                        options.randomized);
+      return MakeOrRearm<RandomizedReportProtocol>(
+          std::move(reuse), sim, std::move(ctx), options.randomized);
     case ProtocolKind::kSpanningTree:
-      return std::make_unique<SpanningTreeProtocol>(sim, std::move(ctx),
-                                                    options.spanning_tree);
+      return MakeOrRearm<SpanningTreeProtocol>(
+          std::move(reuse), sim, std::move(ctx), options.spanning_tree);
     case ProtocolKind::kDag:
-      return std::make_unique<DagProtocol>(sim, std::move(ctx), options.dag);
+      return MakeOrRearm<DagProtocol>(std::move(reuse), sim, std::move(ctx),
+                                      options.dag);
     case ProtocolKind::kWildfire:
-      return std::make_unique<WildfireProtocol>(sim, std::move(ctx),
-                                                options.wildfire);
+      return MakeOrRearm<WildfireProtocol>(std::move(reuse), sim,
+                                           std::move(ctx), options.wildfire);
     case ProtocolKind::kGossip:
-      return std::make_unique<GossipProtocol>(sim, std::move(ctx),
-                                              options.gossip);
+      return MakeOrRearm<GossipProtocol>(std::move(reuse), sim, std::move(ctx),
+                                         options.gossip);
   }
   VALIDITY_CHECK(false, "unknown protocol kind");
   return nullptr;
-}
-
-void ResetProtocol(ProtocolBase* protocol, ProtocolKind kind, QueryContext ctx,
-                   const ProtocolOptions& options) {
-  VALIDITY_CHECK(protocol != nullptr);
-  switch (kind) {
-    case ProtocolKind::kAllReport:
-      static_cast<AllReportProtocol*>(protocol)->ResetForQuery(
-          std::move(ctx), options.all_report);
-      return;
-    case ProtocolKind::kRandomizedReport:
-      static_cast<RandomizedReportProtocol*>(protocol)->ResetForQuery(
-          std::move(ctx), options.randomized);
-      return;
-    case ProtocolKind::kSpanningTree:
-      static_cast<SpanningTreeProtocol*>(protocol)->ResetForQuery(
-          std::move(ctx), options.spanning_tree);
-      return;
-    case ProtocolKind::kDag:
-      static_cast<DagProtocol*>(protocol)->ResetForQuery(std::move(ctx),
-                                                         options.dag);
-      return;
-    case ProtocolKind::kWildfire:
-      static_cast<WildfireProtocol*>(protocol)->ResetForQuery(
-          std::move(ctx), options.wildfire);
-      return;
-    case ProtocolKind::kGossip:
-      static_cast<GossipProtocol*>(protocol)->ResetForQuery(std::move(ctx),
-                                                            options.gossip);
-      return;
-  }
-  VALIDITY_CHECK(false, "unknown protocol kind");
 }
 
 }  // namespace validity::protocols

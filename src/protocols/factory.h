@@ -36,19 +36,16 @@ struct ProtocolOptions {
   GossipOptions gossip;
 };
 
-std::unique_ptr<ProtocolBase> MakeProtocol(ProtocolKind kind,
-                                           sim::Simulator* sim,
-                                           QueryContext ctx,
-                                           const ProtocolOptions& options);
-
-/// Re-arms a cached instance for a new query on its simulator — the session
-/// reuse path that replaces per-run construction. `protocol`'s dynamic type
-/// must be the one MakeProtocol(kind, ...) builds; the context and this
-/// kind's option bundle are rebound, the instance id is refreshed, and the
-/// next Start() behaves exactly like a freshly constructed protocol while
-/// keeping warm storage (state page directories, body pools).
-void ResetProtocol(ProtocolBase* protocol, ProtocolKind kind,
-                   QueryContext ctx, const ProtocolOptions& options);
+/// Builds the protocol for `kind` on `sim` — or, given `reuse` (an instance
+/// an earlier query of the same kind left on the same simulator), re-arms
+/// that one instead: the context and this kind's option bundle are
+/// rebound, the instance id is refreshed, and the next Start() behaves
+/// exactly like a freshly constructed protocol's while warm storage (state
+/// page directories, body pools) carries over.
+std::unique_ptr<ProtocolBase> MakeProtocol(
+    ProtocolKind kind, sim::Simulator* sim, QueryContext ctx,
+    const ProtocolOptions& options,
+    std::unique_ptr<ProtocolBase> reuse = nullptr);
 
 }  // namespace validity::protocols
 

@@ -53,11 +53,4 @@ void ProtocolBase::ResetForQuery(QueryContext ctx) {
   OnReset();
 }
 
-void ProtocolBase::ScheduleProtocolTimer(HostId host, SimTime t,
-                                         std::function<void()> fn) {
-  sim_->ScheduleAt(t, [this, host, f = std::move(fn)] {
-    if (sim_->IsAlive(host)) f();
-  });
-}
-
 }  // namespace validity::protocols

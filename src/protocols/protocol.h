@@ -148,11 +148,6 @@ class ProtocolBase : public sim::HostProgram {
     (void)self, (void)local_id;
   }
 
-  /// Closure escape hatch for timers that do not fit the typed path: runs
-  /// `fn` at time t iff `host` is then alive. Costs one heap-allocated
-  /// closure; prefer ScheduleLocalTimer on hot paths.
-  void ScheduleProtocolTimer(HostId host, SimTime t, std::function<void()> fn);
-
   double HostValue(HostId h) const {
     VALIDITY_DCHECK(ctx_.values != nullptr && h < ctx_.values->size());
     return (*ctx_.values)[h];

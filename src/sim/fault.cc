@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/rng.h"
 
@@ -34,6 +35,21 @@ const char* ByzantineModeName(ByzantineMode mode) {
       return "stale-replay";
   }
   return "unknown";
+}
+
+Status FaultSpec::Validate() const {
+  const std::pair<const char*, double> rates[] = {
+      {"drop_rate", drop_rate},
+      {"duplicate_rate", duplicate_rate},
+      {"delay_rate", delay_rate},
+      {"byzantine_fraction", byzantine_fraction}};
+  for (const auto& [name, rate] : rates) {
+    if (!(rate >= 0.0 && rate <= 1.0)) {
+      return Status::InvalidArgument(std::string("FaultSpec.") + name +
+                                     " must be in [0, 1]");
+    }
+  }
+  return Status::Ok();
 }
 
 std::string FaultSpecLabel(const FaultSpec& spec) {

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/status.h"
 #include "sim/simulator.h"
 
 namespace validity::sim {
@@ -104,6 +105,12 @@ struct FaultSpec {
   }
   bool enabled() const { return HasLinkFaults() || HasByzantine(); }
 
+  /// InvalidArgument unless drop_rate, duplicate_rate, delay_rate, and
+  /// byzantine_fraction are all probabilities in [0, 1]. A NaN rate would
+  /// otherwise read as "no faults" in HasLinkFaults while comparing unequal
+  /// to itself.
+  Status Validate() const;
+
   friend bool operator==(const FaultSpec&, const FaultSpec&) = default;
 };
 
@@ -140,8 +147,8 @@ class ByzantineMutator {
   virtual bool MutateFromByzantine(HostId src, Message* msg) = 0;
 };
 
-/// HostProgram shim slotted between the simulator and a protocol (or a
-/// session's QueryProgramMux lane). Messages from byzantine senders are
+/// HostProgram shim slotted between the simulator and a protocol (as the
+/// attached program or a query lane's program). Messages from byzantine senders are
 /// copied, passed through the mutator, and forwarded (or suppressed);
 /// everything else is transparent. The query's own hq is always protected:
 /// a byzantine headquarters makes every answer trivially invalid, which is

@@ -11,8 +11,8 @@ void Metrics::RecordSend(SimTime t, size_t bytes) {
   ++messages_sent_;
   bytes_sent_ += bytes;
   last_send_time_ = std::max(last_send_time_, t);
-  VALIDITY_DCHECK(t >= 0);
-  size_t tick = static_cast<size_t>(std::floor(t));
+  VALIDITY_DCHECK(t >= start_);
+  size_t tick = static_cast<size_t>(std::floor(t - start_));
   if (sends_per_tick_.size() <= tick) {
     // Generous geometric headroom: the per-tick series must not reallocate
     // once a run is warmed up (the send path is allocation-free).
@@ -24,12 +24,11 @@ void Metrics::RecordSend(SimTime t, size_t bytes) {
   ++sends_per_tick_[tick];
 }
 
-void Metrics::RecordProcessed(HostId h, SimTime t) {
+void Metrics::RecordProcessed(HostId h) {
   VALIDITY_DCHECK(h < num_hosts_);
   uint64_t& count = counts_.Touch(h);
   if (count++ == 0) touched_.push_back(h);
   ++messages_delivered_;
-  last_delivery_time_ = std::max(last_delivery_time_, t);
 }
 
 uint64_t Metrics::MaxProcessed() const {
@@ -51,8 +50,9 @@ Histogram Metrics::ComputationCostDistribution() const {
   return h;
 }
 
-void Metrics::Reset(uint32_t num_hosts) {
+void Metrics::Reset(uint32_t num_hosts, SimTime start) {
   num_hosts_ = num_hosts;
+  start_ = start;
   counts_.Reset(num_hosts);
   touched_.clear();
   sends_per_tick_.clear();
@@ -60,7 +60,6 @@ void Metrics::Reset(uint32_t num_hosts) {
   bytes_sent_ = 0;
   messages_delivered_ = 0;
   last_send_time_ = 0;
-  last_delivery_time_ = 0;
 }
 
 }  // namespace validity::sim

@@ -6,8 +6,8 @@
 //  - Computation cost: per-host count of messages processed (received).
 //    The protocol-level computation cost is the max over hosts.
 //  - Time cost: tracked by the protocols as the result-declaration time;
-//    the metrics also record the last delivery time and the per-tick
-//    message series used by Fig. 13(b).
+//    the metrics also record the last send time and the per-tick message
+//    series used by Fig. 13(b).
 //
 // Per-host tallies are paged (common/paged_state.h): a host that processed
 // nothing occupies no storage, so *constructing* a Metrics for a
@@ -41,13 +41,12 @@ class Metrics {
   void RecordSend(SimTime t, size_t bytes);
 
   /// Records that host `h` processed one delivered message.
-  void RecordProcessed(HostId h, SimTime t);
+  void RecordProcessed(HostId h);
 
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t messages_delivered() const { return messages_delivered_; }
   SimTime last_send_time() const { return last_send_time_; }
-  SimTime last_delivery_time() const { return last_delivery_time_; }
 
   /// Messages processed by host `h` (0 for hosts whose tally page was never
   /// materialized).
@@ -64,7 +63,9 @@ class Metrics {
   /// Hosts that processed nothing contribute to the zero bucket.
   Histogram ComputationCostDistribution() const;
 
-  /// Messages sent during tick [i, i+1) (Fig. 13(b)). Index i = floor(t).
+  /// Messages sent during tick [start + i, start + i + 1) of the run
+  /// (Fig. 13(b)), anchored at the start Reset() gave: a query issued late
+  /// on a long timeline stores no leading zeros.
   const std::vector<uint64_t>& SendsPerTick() const { return sends_per_tick_; }
 
   /// Grows the accounted host population when hosts join (tally pages
@@ -72,9 +73,9 @@ class Metrics {
   void OnHostAdded() { ++num_hosts_; }
 
   /// Zeroes every counter for a fresh run over `num_hosts` hosts (dropping
-  /// hosts joined since construction). O(ticks elapsed) plus an O(1) page
-  /// epoch bump; storage capacity is retained.
-  void Reset(uint32_t num_hosts);
+  /// hosts joined since construction) that starts at `start`. O(ticks
+  /// elapsed) plus an O(1) page epoch bump; storage capacity is retained.
+  void Reset(uint32_t num_hosts, SimTime start = 0.0);
 
   /// Bytes of tally storage currently resident (the paged counters plus the
   /// dirty list and tick series).
@@ -88,7 +89,8 @@ class Metrics {
   uint64_t bytes_sent_ = 0;
   uint64_t messages_delivered_ = 0;
   SimTime last_send_time_ = 0;
-  SimTime last_delivery_time_ = 0;
+  /// Origin of the tick series.
+  SimTime start_ = 0;
   uint32_t num_hosts_ = 0;
   /// Per-host processed tallies, materialized on first touch.
   PagedStates<uint64_t> counts_;

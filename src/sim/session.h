@@ -1,5 +1,5 @@
 // SimulatorSession: a cached per-graph simulator with O(touched) inter-query
-// reset and multi-query routing.
+// reset.
 //
 // Building a Simulator is O(network): CSR adjacency, liveness tables, and
 // per-host metrics all scale with num_hosts. Protocol-side cost has been
@@ -17,14 +17,15 @@
 // second query on a cached 10^6-host session costs ≈disc time instead of
 // the ≈0.1 s rebuild (BM_MillionHostSecondQuery).
 //
-// Multi-query concurrency: message kinds and timer ids carry their protocol
-// instance's id in the upper bits (message.h's kInstanceTagShift), so N
-// query programs can share one simulator timeline. QueryProgramMux routes
-// callbacks to the owning instance, and Simulator::AttachInstanceMetrics
-// routes each instance's cost accounting to its own Metrics lane. The
-// contract — fresh construction, session reuse, and concurrent execution
-// all produce bit-identical per-query results — is documented in
-// docs/SESSIONS.md and enforced by tests/session_test.cc.
+// A session is the timeline every query runs on. The query layer
+// (core/query_service.h) opens one simulator lane per query — message
+// kinds and timer ids carry the protocol instance's id in their upper bits
+// (message.h's kInstanceTagShift), and Simulator::OpenLane routes each
+// instance's callbacks and cost accounting from one lane table — and parks
+// retired protocol instances here for the next query. The contract — a
+// query's result does not depend on the entry point, the session's history,
+// or its lane-mates — is documented in docs/SESSIONS.md and enforced by
+// tests/session_test.cc.
 //
 // Sessions are single-threaded objects (one session per thread; the sweep
 // driver gives every worker its own). The graph must outlive the session.
@@ -38,38 +39,10 @@
 #include <utility>
 #include <vector>
 
-#include "sim/metrics.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 
 namespace validity::sim {
-
-/// Demultiplexes one simulator's callbacks to N concurrently-running query
-/// programs by the instance tag in message kinds / timer ids. Traffic whose
-/// tag matches no registered program (stale epochs, detached queries) is
-/// dropped, exactly as a lone protocol's DecodeKind would drop it.
-class QueryProgramMux : public HostProgram {
- public:
-  void Register(uint32_t instance_id, HostProgram* program);
-  void Unregister(uint32_t instance_id);
-  void Clear() { entries_.clear(); }
-  size_t size() const { return entries_.size(); }
-
-  void OnMessage(HostId self, const Message& msg) override;
-  void OnTimer(HostId self, uint64_t timer_id) override;
-  /// Failure detection is a property of the shared network, not of one
-  /// query: every registered program hears about it.
-  void OnNeighborFailure(HostId self, HostId failed) override;
-
- private:
-  HostProgram* Lookup(uint32_t instance_id) const;
-
-  struct Entry {
-    uint32_t instance_id;
-    HostProgram* program;
-  };
-  std::vector<Entry> entries_;
-};
 
 class SimulatorSession {
  public:
@@ -98,22 +71,14 @@ class SimulatorSession {
   }
   Simulator& simulator() { return sim_; }
   const Simulator& simulator() const { return sim_; }
-  QueryProgramMux& mux() { return mux_; }
 
   /// Epochs completed so far; bumped by every Reset().
   uint64_t epoch() const { return epoch_; }
 
   /// Starts a new epoch: the simulator returns to its pristine t=0 state
-  /// (Simulator::Reset, O(touched)), and any programs registered with the
-  /// mux are dropped. Call before issuing the next query (or batch of
-  /// concurrent queries).
+  /// (Simulator::Reset, O(touched)), which also closes every open lane.
+  /// Call before issuing the next query (or batch of concurrent queries).
   void Reset();
-
-  /// Borrows a per-query metrics lane for concurrent runs. Lanes are
-  /// constructed once (O(network)) and reset on acquisition (O(touched)),
-  /// so a session settles on one lane per concurrent query slot.
-  Metrics* AcquireMetrics();
-  void ReleaseMetrics(Metrics* metrics);
 
   /// Parking lot for reusable per-query objects that must survive between
   /// epochs — the engine parks protocol instances here, keyed by protocol
@@ -127,10 +92,7 @@ class SimulatorSession {
  private:
   topology::Topology topo_;
   Simulator sim_;
-  QueryProgramMux mux_;
   uint64_t epoch_ = 0;
-  std::vector<std::unique_ptr<Metrics>> metrics_lanes_;
-  std::vector<Metrics*> metrics_free_;
   std::vector<std::pair<uint32_t, std::unique_ptr<HostProgram>>> parked_;
 };
 
@@ -146,7 +108,7 @@ class SimulatorSession {
 /// Acquire/Release only hand lanes out and back under a mutex; all actual
 /// simulation happens on the acquired lane, single-threaded, with no
 /// cross-lane sharing. A released lane keeps its warm state (parked
-/// protocols, metrics lanes, paged tables) for the next borrower.
+/// protocols, lane Metrics, paged tables) for the next borrower.
 class SessionPool {
  public:
   /// `options` is the structural profile every lane is built with. For

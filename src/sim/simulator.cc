@@ -61,10 +61,7 @@ void Simulator::Reset() {
   // references that must be released for their slots (and pooled bodies) to
   // recycle.
   queue_.Clear([this](const Event& event) {
-    if (event.tag == EventTag::kDeliver) {
-      MessageSlot& slot = SlotAt(event.slot);
-      if (--slot.refs == 0) ReleaseMessageSlot(event.slot);
-    }
+    if (event.tag == EventTag::kDeliver) DropSlotRef(event.slot);
   });
   // Every slot is free now; rewind the slab to sequential allocation instead
   // of chasing the drained free list's scrambled order (chunk storage stays
@@ -90,25 +87,38 @@ void Simulator::Reset() {
   num_hosts_ = base_hosts_;
   dead_count_ = 0;
   metrics_.Reset(base_hosts_);
-  instance_metrics_.clear();
+  for (Lane& lane : lanes_) spare_metrics_.push_back(std::move(lane.metrics));
+  lanes_.clear();
+  unrouted_ = 0;
   program_ = nullptr;
   fault_ = nullptr;
   fault_armed_ = false;
 }
 
-void Simulator::AttachInstanceMetrics(uint32_t instance_id, Metrics* metrics) {
-  VALIDITY_DCHECK(metrics != nullptr);
-  instance_metrics_.push_back(InstanceMetrics{instance_id, metrics});
+const Metrics& Simulator::OpenLane(uint32_t instance_id,
+                                   HostProgram* program) {
+  VALIDITY_DCHECK(program != nullptr && FindLane(instance_id) == nullptr);
+  if (spare_metrics_.empty()) {
+    spare_metrics_.push_back(std::make_unique<Metrics>(num_hosts_));
+  }
+  lanes_.push_back(Lane{instance_id, program, std::move(spare_metrics_.back())});
+  spare_metrics_.pop_back();
+  lanes_.back().metrics->Reset(num_hosts_, Now());
+  return *lanes_.back().metrics;
 }
 
-void Simulator::DetachInstanceMetrics(uint32_t instance_id) {
-  for (auto it = instance_metrics_.begin(); it != instance_metrics_.end();
-       ++it) {
-    if (it->instance_id == instance_id) {
-      instance_metrics_.erase(it);
-      return;
-    }
-  }
+void Simulator::MuteLane(uint32_t instance_id) {
+  Lane* lane = FindLane(instance_id);
+  VALIDITY_DCHECK(lane != nullptr);
+  lane->program = nullptr;
+}
+
+void Simulator::CloseLane(uint32_t instance_id) {
+  Lane* lane = FindLane(instance_id);
+  VALIDITY_DCHECK(lane != nullptr);
+  spare_metrics_.push_back(std::move(lane->metrics));
+  // Erase, not swap-remove: failure callbacks visit lanes in opening order.
+  lanes_.erase(lanes_.begin() + (lane - lanes_.data()));
 }
 
 size_t Simulator::ResidentTableBytes() const {
@@ -122,6 +132,8 @@ size_t Simulator::ResidentTableBytes() const {
   bytes += slab_.size() * static_cast<size_t>(kSlabChunkSize) *
            sizeof(MessageSlot);
   bytes += metrics_.ResidentBytes();
+  for (const Lane& lane : lanes_) bytes += lane.metrics->ResidentBytes();
+  for (const auto& spare : spare_metrics_) bytes += spare->ResidentBytes();
   bytes += queue_.ResidentBytes();
   return bytes;
 }
@@ -145,17 +157,26 @@ void Simulator::DispatchEvent(const Event& event) {
       if (--slot.refs == 0) ReleaseMessageSlot(event.slot);
       break;
     }
-    case EventTag::kTimer:
-      if (IsAlive(event.a) && program_ != nullptr) {
-        program_->OnTimer(event.a, event.payload);
+    case EventTag::kTimer: {
+      HostProgram* program =
+          ProgramFor(FindLane(event.payload >> kInstanceTagShift));
+      if (IsAlive(event.a) && program != nullptr) {
+        program->OnTimer(event.a, event.payload);
       }
       break;
+    }
     case EventTag::kFailHost:
       FailHost(event.a);
       break;
     case EventTag::kNeighborDetect:
-      if (IsAlive(event.a) && program_ != nullptr) {
-        program_->OnNeighborFailure(event.a, event.b);
+      // Failure detection belongs to the shared network, not to one query:
+      // every live program hears it. Callbacks never open or close lanes.
+      if (!IsAlive(event.a)) break;
+      if (program_ != nullptr) program_->OnNeighborFailure(event.a, event.b);
+      for (const Lane& lane : lanes_) {
+        if (lane.program != nullptr) {
+          lane.program->OnNeighborFailure(event.a, event.b);
+        }
       }
       break;
     case EventTag::kGeneric:
@@ -251,7 +272,7 @@ void Simulator::FailHost(HostId h) {
   Trace(TraceEventKind::kFail, h, h, 0);
   life_.Touch(h).failure_time = Now();
   ++dead_count_;
-  if (options_.failure_detection && program_ != nullptr) {
+  if (options_.failure_detection) {
     // Neighbors detect the silence one heartbeat interval plus one delay
     // after the failure.
     SimTime detect_at = Now() + options_.heartbeat_interval + options_.delta;
@@ -280,110 +301,78 @@ StatusOr<HostId> Simulator::AddHost(const std::vector<HostId>& neighbors) {
   life.join_time = Now();
   Trace(TraceEventKind::kJoin, id, id, 0);
   metrics_.OnHostAdded();
-  // Per-instance lanes must cover the new host too, so tagged traffic
-  // delivered to it lands in the right zero-message bucket.
-  for (const InstanceMetrics& entry : instance_metrics_) {
-    entry.metrics->OnHostAdded();
-  }
+  // Lanes must cover the new host too, so tagged traffic delivered to it
+  // lands in the right zero-message bucket.
+  for (Lane& lane : lanes_) lane.metrics->OnHostAdded();
   return id;
 }
 
 void Simulator::DeliverTo(HostId to, const Message& msg) {
+  Lane* lane = FindLane(msg.kind >> kInstanceTagShift);
+  HostProgram* program = ProgramFor(lane);
   if (!IsAlive(to)) {
     Trace(TraceEventKind::kDrop, msg.src, to, msg.kind);
     return;  // lost: destination failed before delivery
   }
   Trace(TraceEventKind::kDeliver, msg.src, to, msg.kind);
-  MetricsFor(msg.kind).RecordProcessed(to, Now());
-  if (program_ != nullptr) program_->OnMessage(to, msg);
+  (lane != nullptr ? *lane->metrics : metrics_).RecordProcessed(to);
+  if (program != nullptr) program->OnMessage(to, msg);
 }
 
 void Simulator::SendTo(HostId from, HostId to, Message msg) {
-  VALIDITY_DCHECK(from < num_hosts_ && to < num_hosts_);
-  if (!IsAlive(from)) return;  // failed hosts send nothing
-  msg.src = from;
-  msg.dst = to;
-  uint32_t kind = msg.kind;
-  Trace(TraceEventKind::kSend, from, to, kind);
-  MetricsFor(kind).RecordSend(Now(), msg.SizeBytes());
-  if (__builtin_expect(fault_armed_, 0)) {
-    uint32_t slot = AcquireMessageSlot(std::move(msg), 2);  // +1 guard ref
-    FaultDeliver(Now() + options_.delta, to, from, slot, kind);
-    DropSlotRef(slot);
-    return;
-  }
-  uint32_t slot = AcquireMessageSlot(std::move(msg), 1);
-  queue_.ScheduleTyped(Now() + options_.delta, EventTag::kDeliver, to, from,
-                       slot, 0);
+  VALIDITY_DCHECK(to < num_hosts_);
+  SendToEach(from, std::move(msg), &to, 1);
 }
 
 void Simulator::SendToNeighbors(HostId from, Message msg) {
   VALIDITY_DCHECK(from < num_hosts_);
   if (!IsAlive(from)) return;
-  msg.src = from;
-  NeighborSpan nbrs = NeighborsOf(from);
-  uint32_t alive_nbrs = 0;
-  for (HostId nb : nbrs) {
-    if (IsAlive(nb)) ++alive_nbrs;
-  }
-  SimTime arrive = Now() + options_.delta;
-  size_t bytes = msg.SizeBytes();
-  Metrics& metrics = MetricsFor(msg.kind);
-  // With a fault plane installed, one guard ref keeps the slot alive while
-  // per-receiver fates (which may drop mid-fan-out) adjust the count.
-  uint32_t guard = fault_armed_ ? 1u : 0u;
-  uint32_t kind = msg.kind;
-  if (options_.medium == MediumKind::kWireless) {
-    // One transmission; every alive neighbor hears it (a per-receiver link
-    // fate models each receiver's local reception of the broadcast).
-    Trace(TraceEventKind::kSend, from, kInvalidHost, kind);
-    metrics.RecordSend(Now(), bytes);
-    if (alive_nbrs == 0) return;
-    uint32_t slot = AcquireMessageSlot(std::move(msg), alive_nbrs + guard);
-    for (HostId nb : nbrs) {
-      if (!IsAlive(nb)) continue;
-      if (__builtin_expect(fault_armed_, 0)) {
-        FaultDeliver(arrive, nb, from, slot, kind);
-      } else {
-        queue_.ScheduleTyped(arrive, EventTag::kDeliver, nb, from, slot, 0);
-      }
-    }
-    if (guard != 0) DropSlotRef(slot);
-    return;
-  }
-  // Point-to-point: one charged message per alive neighbor, one shared
-  // payload slot — zero allocations per neighbor.
-  if (alive_nbrs == 0) return;
-  uint32_t slot = AcquireMessageSlot(std::move(msg), alive_nbrs + guard);
-  for (HostId nb : nbrs) {
-    if (!IsAlive(nb)) continue;
-    Trace(TraceEventKind::kSend, from, nb, kind);
-    metrics.RecordSend(Now(), bytes);
-    if (__builtin_expect(fault_armed_, 0)) {
-      FaultDeliver(arrive, nb, from, slot, kind);
-    } else {
-      queue_.ScheduleTyped(arrive, EventTag::kDeliver, nb, from, slot, 0);
-    }
-  }
-  if (guard != 0) DropSlotRef(slot);
+  fanout_.clear();
+  ForEachAliveNeighbor(from, [this](HostId nb) { fanout_.push_back(nb); });
+  Fanout(from, std::move(msg), fanout_.data(),
+         static_cast<uint32_t>(fanout_.size()),
+         /*broadcast=*/options_.medium == MediumKind::kWireless);
 }
 
 void Simulator::SendToEach(HostId from, Message msg, const HostId* targets,
                            uint32_t count) {
   VALIDITY_DCHECK(from < num_hosts_);
-  if (!IsAlive(from) || count == 0) return;
+  if (!IsAlive(from)) return;
+  Fanout(from, std::move(msg), targets, count, /*broadcast=*/false);
+}
+
+void Simulator::SendDirect(HostId from, HostId to, Message msg) {
+  VALIDITY_CHECK(options_.medium == MediumKind::kPointToPoint,
+                 "direct delivery requires a point-to-point underlay");
+  SendTo(from, to, std::move(msg));
+}
+
+void Simulator::Fanout(HostId from, Message msg, const HostId* targets,
+                       uint32_t count, bool broadcast) {
   msg.src = from;
-  SimTime arrive = Now() + options_.delta;
-  size_t bytes = msg.SizeBytes();
-  uint32_t kind = msg.kind;
-  Metrics& metrics = MetricsFor(kind);
-  uint32_t guard = fault_armed_ ? 1u : 0u;
-  uint32_t slot = AcquireMessageSlot(std::move(msg), count + guard);
-  for (uint32_t i = 0; i < count; ++i) {
-    HostId to = targets[i];
-    VALIDITY_DCHECK(to < num_hosts_ && IsAlive(to));
-    Trace(TraceEventKind::kSend, from, to, kind);
+  const uint32_t kind = msg.kind;
+  const size_t bytes = msg.SizeBytes();
+  Lane* lane = FindLane(kind >> kInstanceTagShift);
+  Metrics& metrics = lane != nullptr ? *lane->metrics : metrics_;
+  if (broadcast) {
+    // One transmission; every target hears it (a per-receiver link fate
+    // models each receiver's local reception of the broadcast).
+    Trace(TraceEventKind::kSend, from, kInvalidHost, kind);
     metrics.RecordSend(Now(), bytes);
+  }
+  if (count == 0) return;
+  // With a fault plane installed, one guard ref keeps the slot alive while
+  // per-receiver fates (which may drop mid-fan-out) adjust the count.
+  const uint32_t guard = fault_armed_ ? 1u : 0u;
+  const uint32_t slot = AcquireMessageSlot(std::move(msg), count + guard);
+  const SimTime arrive = Now() + options_.delta;
+  for (uint32_t i = 0; i < count; ++i) {
+    const HostId to = targets[i];
+    VALIDITY_DCHECK(to < num_hosts_);
+    if (!broadcast) {
+      Trace(TraceEventKind::kSend, from, to, kind);
+      metrics.RecordSend(Now(), bytes);
+    }
     if (__builtin_expect(fault_armed_, 0)) {
       FaultDeliver(arrive, to, from, slot, kind);
     } else {
@@ -391,27 +380,6 @@ void Simulator::SendToEach(HostId from, Message msg, const HostId* targets,
     }
   }
   if (guard != 0) DropSlotRef(slot);
-}
-
-void Simulator::SendDirect(HostId from, HostId to, Message msg) {
-  VALIDITY_DCHECK(from < num_hosts_ && to < num_hosts_);
-  VALIDITY_CHECK(options_.medium == MediumKind::kPointToPoint,
-                 "direct delivery requires a point-to-point underlay");
-  if (!IsAlive(from)) return;
-  msg.src = from;
-  msg.dst = to;
-  uint32_t kind = msg.kind;
-  Trace(TraceEventKind::kSend, from, to, kind);
-  MetricsFor(kind).RecordSend(Now(), msg.SizeBytes());
-  if (__builtin_expect(fault_armed_, 0)) {
-    uint32_t slot = AcquireMessageSlot(std::move(msg), 2);  // +1 guard ref
-    FaultDeliver(Now() + options_.delta, to, from, slot, kind);
-    DropSlotRef(slot);
-    return;
-  }
-  uint32_t slot = AcquireMessageSlot(std::move(msg), 1);
-  queue_.ScheduleTyped(Now() + options_.delta, EventTag::kDeliver, to, from,
-                       slot, 0);
 }
 
 void Simulator::InstallFaults(const FaultSpec* spec) {

@@ -213,7 +213,7 @@ class Simulator {
   const SimOptions& options() const { return options_; }
   const topology::Topology& topology() const { return topo_; }
 
-  /// Per-query knobs a SimulatorSession retunes between runs without
+  /// Timeline knobs a QueryService arms on each session epoch without
   /// rebuilding the simulator. failure_detection only gates what FailHost
   /// schedules from now on; max_events re-arms the event budget (the
   /// executed() counter itself rewinds in Reset()).
@@ -224,7 +224,7 @@ class Simulator {
 
   /// Restores the simulator to its just-constructed state — every base host
   /// alive at time 0, empty event queue, zeroed metrics, no attached
-  /// program — in time proportional to what previous runs touched (failed
+  /// program or open lane — in time proportional to what previous runs touched (failed
   /// hosts, joined hosts, pending events, hosts that processed messages),
   /// not the network size: liveness and metrics pages rewind by epoch
   /// counter (common/paged_state.h), pending events drain through a dirty
@@ -337,7 +337,9 @@ class Simulator {
 
   // --- messaging ----------------------------------------------------------
 
-  /// Binds the protocol receiving callbacks. Exactly one program at a time.
+  /// Binds the single program receiving every callback (the route protocol
+  /// unit tests and continuous queries use). Traffic of an open lane goes
+  /// to the lane instead.
   void AttachProgram(HostProgram* program) { program_ = program; }
 
   /// Installs the deterministic link-fault plane (sim/fault.h): every
@@ -362,11 +364,11 @@ class Simulator {
   /// once; per-neighbor cost is one typed event.
   void SendToNeighbors(HostId from, Message msg);
 
-  /// Point-to-point fan-out to an explicit target list (each must be an
-  /// alive neighbor of `from`): one charged message per target, one shared
-  /// payload slot — the selective-flood analogue of SendToNeighbors.
-  /// Equivalent to SendTo(from, t, msg) for each t, minus the per-target
-  /// slot and payload copies.
+  /// Point-to-point fan-out to an explicit target list (each a neighbor of
+  /// `from`): one charged message per target, one shared payload slot —
+  /// the selective-flood analogue of SendToNeighbors. Equivalent to
+  /// SendTo(from, t, msg) for each t, minus the per-target slot and payload
+  /// copies.
   void SendToEach(HostId from, Message msg, const HostId* targets,
                   uint32_t count);
 
@@ -383,13 +385,24 @@ class Simulator {
   const Metrics& metrics() const { return metrics_; }
   uint64_t events_executed() const { return queue_.executed(); }
 
-  /// Routes cost accounting for messages whose kind carries `instance_id`
-  /// in its upper bits (see kInstanceTagShift) to `metrics` instead of the
-  /// shared metrics(). This is how N concurrent queries on one session each
-  /// get their own §6.3 cost report; `metrics` must outlive the attachment.
-  /// Attachments are cleared by Reset().
-  void AttachInstanceMetrics(uint32_t instance_id, Metrics* metrics);
-  void DetachInstanceMetrics(uint32_t instance_id);
+  // --- lanes -------------------------------------------------------------
+
+  /// Opens a query lane at Now(): messages and timers tagged with
+  /// `instance_id` (the bits above kInstanceTagShift) are dispatched to
+  /// `program` and charged to the returned Metrics, whose tick series starts
+  /// now; neighbor-failure callbacks reach every open lane. This is how
+  /// many queries share one timeline, each with its own §6.3 cost report.
+  /// `program` must outlive the lane; the Metrics stays valid until the lane
+  /// closes (CloseLane or Reset()).
+  const Metrics& OpenLane(uint32_t instance_id, HostProgram* program);
+  /// Stops the lane's callbacks but keeps its slot: its late traffic is
+  /// dropped without counting as unrouted (a cancelled query).
+  void MuteLane(uint32_t instance_id);
+  void CloseLane(uint32_t instance_id);
+  /// Tagged deliveries and timers since Reset() that found neither an open
+  /// lane nor an attached program. On a lane timeline every one of them
+  /// outlived its lane's quiescence bound.
+  uint64_t unrouted_events() const { return unrouted_; }
 
   /// Optional event tracing; pass nullptr to detach. The recorder must
   /// outlive the simulator (or be detached first).
@@ -440,20 +453,35 @@ class Simulator {
                                                     HostId from, uint32_t slot,
                                                     uint32_t kind);
 
+  /// The one send path: stores `msg` once and schedules a delivery to each
+  /// target. A broadcast is one charged transmission every target hears
+  /// (wireless); otherwise each target is one charged message.
+  void Fanout(HostId from, Message msg, const HostId* targets,
+              uint32_t count, bool broadcast);
   void DeliverTo(HostId to, const Message& msg);
   void CheckEventBudget() const;
 
-  /// The metrics object charged for a message of this kind: the shared
-  /// metrics_ unless a per-instance attachment matches. The common
-  /// single-query case costs one predicted branch on the empty list.
-  Metrics& MetricsFor(uint32_t kind) {
-    if (__builtin_expect(!instance_metrics_.empty(), 0)) {
-      uint32_t id = kind >> kInstanceTagShift;
-      for (const InstanceMetrics& entry : instance_metrics_) {
-        if (entry.instance_id == id) return *entry.metrics;
-      }
+  /// One query lane: the program (null while muted) and the Metrics its
+  /// tagged traffic routes to.
+  struct Lane {
+    uint32_t instance_id;
+    HostProgram* program;
+    std::unique_ptr<Metrics> metrics;
+  };
+  /// The open lane of `instance_id`, or null. Traffic finds its lane by
+  /// the tag above kInstanceTagShift in its message kind or timer id.
+  Lane* FindLane(uint64_t instance_id) {
+    for (Lane& lane : lanes_) {
+      if (lane.instance_id == instance_id) return &lane;
     }
-    return metrics_;
+    return nullptr;
+  }
+  /// Where tagged traffic goes: its lane's program, or off the lane table
+  /// the attached program; traffic reaching neither counts as unrouted.
+  HostProgram* ProgramFor(const Lane* lane) {
+    if (lane != nullptr) return lane->program;
+    if (program_ == nullptr) ++unrouted_;
+    return program_;
   }
   void Trace(TraceEventKind kind, HostId src, HostId dst, uint32_t mkind) {
     // Predicted-not-taken fast path: with no recorder attached this is one
@@ -501,15 +529,17 @@ class Simulator {
   uint32_t base_hosts_ = 0;
   uint32_t num_hosts_ = 0;
   uint32_t dead_count_ = 0;
-  struct InstanceMetrics {
-    uint32_t instance_id;
-    Metrics* metrics;
-  };
-  std::vector<InstanceMetrics> instance_metrics_;
+  /// Open lanes in opening order, and the Metrics of closed ones kept for
+  /// reuse: a timeline settles on one Metrics per concurrent lane.
+  std::vector<Lane> lanes_;
+  std::vector<std::unique_ptr<Metrics>> spare_metrics_;
+  uint64_t unrouted_ = 0;
   /// Message payload slab (stable chunked storage + free list).
   std::vector<std::unique_ptr<MessageSlot[]>> slab_;
   uint32_t slab_used_ = 0;
   uint32_t free_head_ = kNoFreeSlot;
+  /// SendToNeighbors' alive-neighbor list (capacity reused).
+  std::vector<HostId> fanout_;
   HostProgram* program_ = nullptr;
   const FaultSpec* fault_ = nullptr;
   // fault_ != nullptr && fault_->HasLinkFaults(), cached at install time so

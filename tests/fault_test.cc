@@ -23,12 +23,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/experiment.h"
+#include "core/query_service.h"
 #include "protocols/continuous.h"
 #include "sim/fault.h"
 #include "sim/session.h"
@@ -108,6 +110,29 @@ TEST(LinkFateTest, DisabledSpecNeverFaults) {
     EXPECT_FALSE(fate.drop);
     EXPECT_FALSE(fate.duplicate);
     EXPECT_EQ(fate.delay_hops, 0u);
+  }
+}
+
+TEST(FaultSpecValidateTest, RejectsRatesThatAreNotProbabilities) {
+  EXPECT_TRUE(FaultSpec{}.Validate().ok());
+  FaultSpec edges;
+  edges.drop_rate = 1.0;
+  edges.duplicate_rate = 0.0;
+  edges.delay_rate = 1.0;
+  edges.byzantine_fraction = 1.0;
+  EXPECT_TRUE(edges.Validate().ok());
+
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5,
+                        std::numeric_limits<double>::infinity()};
+  for (double FaultSpec::*rate :
+       {&FaultSpec::drop_rate, &FaultSpec::duplicate_rate,
+        &FaultSpec::delay_rate, &FaultSpec::byzantine_fraction}) {
+    for (double value : bad) {
+      FaultSpec spec;
+      spec.*rate = value;
+      EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument)
+          << value;
+    }
   }
 }
 
@@ -305,6 +330,30 @@ TEST_F(FaultFingerprintTest, ConcurrentLanesMustAgreeOnTheFaultPlane) {
   sim::SimulatorSession session(&graph_, sim::SimOptions{});
   EXPECT_EQ(engine_.RunConcurrent(&session, queries).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(FaultFingerprintTest, EveryEntryPointRejectsANaNRateByName) {
+  // A NaN rate reads as "no faults" in HasLinkFaults and compares unequal
+  // to itself; validation must name the rate instead of reporting a
+  // fault-plane disagreement.
+  RunConfig config;
+  config.fault.drop_rate = std::numeric_limits<double>::quiet_NaN();
+  auto expect_rejected = [](const Status& status, const char* path) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << path;
+    EXPECT_NE(status.message().find("drop_rate"), std::string::npos)
+        << path << ": " << status.message();
+  };
+  expect_rejected(engine_.Run(QuerySpec{}, config, 0).status(), "fresh");
+  sim::SimulatorSession session(&graph_, sim::SimOptions{});
+  expect_rejected(engine_.Run(&session, QuerySpec{}, config, 0).status(),
+                  "session");
+  QueryEngine::ConcurrentQuery q;
+  q.config = config;
+  expect_rejected(engine_.RunConcurrent(&session, {q, q}).status(),
+                  "concurrent");
+  QueryService service(&engine_, ServiceOptionsFor(QuerySpec{}, config, 0));
+  expect_rejected(service.Submit(0.0, QuerySpec{}, config, 0).status(),
+                  "service");
 }
 
 TEST(FaultSweepTest, SweepWithFaultAxisIsThreadCountInvariant) {

@@ -2,18 +2,22 @@
 // (topology kind and size, protocol, aggregate, combiner family, churn,
 // fault spec, start time, querying host), each executed four ways —
 //
-//   fresh          one-shot QueryEngine::Run (or a single staggered
-//                  RunConcurrent when the start time is nonzero),
-//   session        the same query re-run on a session the first run
-//                  dirtied (warm pages, parked protocols),
+//   fresh          the reference column (tests/fingerprint_matrix.h):
+//                  the protocol run directly on a simulator, started at
+//                  the drawn time, its queue drained dry — no lanes,
+//   session        the same query as a lane on a new session, then re-run
+//                  on the session that first run dirtied (warm pages,
+//                  parked protocols),
 //   concurrent     the same query sharing a timeline with a companion
 //                  query on the same session,
 //   service        the same query submitted to a QueryService at the same
 //                  arrival time and drained —
 //
 // and all four results compared field for field (the determinism contract,
-// docs/SERVICE.md). A failing case prints a self-contained repro recipe:
-// its generator seed and every drawn parameter.
+// docs/SERVICE.md). Every lane column must also leave no traffic behind its
+// lanes' quiescence bounds (Simulator::unrouted_events() == 0). A failing
+// case prints a self-contained repro recipe: its generator seed and every
+// drawn parameter.
 //
 // Case count: VALIDITY_FUZZ_DEFAULT_CASES at compile time (the
 // VALIDITY_FUZZ_CASES CMake cache variable, default 200; CI's nightly mode
@@ -265,28 +269,21 @@ TEST(FingerprintFuzzTest, FourColumnsAgreeAcrossRandomCases) {
     q.hq = c.hq;
     q.start_at = c.start_at;
 
-    // Column A: fresh.
-    QueryResult fresh;
-    if (c.start_at == 0.0) {
-      auto r = engine.Run(c.spec, c.config, c.hq);
-      ASSERT_TRUE(r.ok()) << r.status().message();
-      fresh = *r;
-    } else {
-      sim::SimulatorSession session(engine.topology(), c.config.sim_options);
-      auto r = engine.RunConcurrent(&session, {q});
-      ASSERT_TRUE(r.ok()) << r.status().message();
-      fresh = (*r)[0];
-    }
+    // Column A: the reference.
+    const QueryResult fresh =
+        ReferenceRun(engine, c.spec, c.config, c.hq, c.start_at);
 
-    // Column B: the same query on a session its first run dirtied.
+    // Column B: the same query on a new session, then again on the session
+    // its first run dirtied.
     sim::SimulatorSession session(engine.topology(), c.config.sim_options);
-    {
-      auto warmup = engine.RunConcurrent(&session, {q});
-      ASSERT_TRUE(warmup.ok()) << warmup.status().message();
-    }
+    auto first = engine.RunConcurrent(&session, {q});
+    ASSERT_TRUE(first.ok()) << first.status().message();
+    ExpectIdentical(fresh, (*first)[0], "fresh-vs-new-session");
+    EXPECT_EQ(session.simulator().unrouted_events(), 0u) << "new session";
     auto reused = engine.RunConcurrent(&session, {q});
     ASSERT_TRUE(reused.ok()) << reused.status().message();
     ExpectIdentical(fresh, (*reused)[0], "fresh-vs-session");
+    EXPECT_EQ(session.simulator().unrouted_events(), 0u) << "session";
 
     // Column C: sharing the timeline with a companion query (same spec,
     // different sketch stream, issued at t=0).
@@ -296,6 +293,7 @@ TEST(FingerprintFuzzTest, FourColumnsAgreeAcrossRandomCases) {
     auto concurrent = engine.RunConcurrent(&session, {q, companion});
     ASSERT_TRUE(concurrent.ok()) << concurrent.status().message();
     ExpectIdentical(fresh, (*concurrent)[0], "fresh-vs-concurrent");
+    EXPECT_EQ(session.simulator().unrouted_events(), 0u) << "concurrent";
 
     // Column D: submitted to a QueryService at the same arrival time.
     QueryService service(&engine, ServiceOptionsFor(c.spec, c.config, c.hq));
@@ -306,6 +304,8 @@ TEST(FingerprintFuzzTest, FourColumnsAgreeAcrossRandomCases) {
     ASSERT_TRUE(service.Poll(&done));
     EXPECT_EQ(done.started_at, c.start_at);
     ExpectIdentical(fresh, done.result, "fresh-vs-service");
+    EXPECT_EQ(service.session().simulator().unrouted_events(), 0u)
+        << "service";
   }
 }
 

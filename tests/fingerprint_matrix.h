@@ -1,8 +1,8 @@
 // Shared fingerprint fixtures for the determinism-contract tests: the
-// 34-case (spec, config, hq) matrix and the field-for-field QueryResult
-// comparison. Used by tests/session_test.cc (fresh == session-reused ==
-// concurrent), tests/query_service_test.cc (the fourth column: the open
-// query-arrival service), and tests/fingerprint_fuzz_test.cc (the
+// 34-case (spec, config, hq) matrix, the reference column every entry point
+// is held against, and the field-for-field QueryResult comparison. Used by
+// tests/session_test.cc (reference == fresh == session-reused == service),
+// tests/query_service_test.cc, and tests/fingerprint_fuzz_test.cc (the
 // randomized differential harness over the same comparator).
 
 #ifndef VALIDITY_TESTS_FINGERPRINT_MATRIX_H_
@@ -10,9 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/run_internal.h"
+#include "protocols/factory.h"
+#include "sim/simulator.h"
 
 namespace validity::core {
 
@@ -106,6 +110,47 @@ inline std::vector<Case> FingerprintMatrix() {
   // A different querying host. (1)
   add("wf-hq7", ProtocolKind::kWildfire, AggregateKind::kCount, false, 40, 7);
   return cases;
+}
+
+/// The reference column: the query's protocol run directly on a fresh
+/// sim::Simulator through AttachProgram, its tick series anchored at
+/// `start_at`, with Run() draining the queue dry — no lanes, no
+/// quiescence bound. Every entry point runs its queries as lanes on one
+/// shared core, so comparing entry points with each other cannot catch a
+/// lane retired too early; comparing each with this column can.
+inline QueryResult ReferenceRun(const QueryEngine& engine,
+                                const QuerySpec& spec,
+                                const RunConfig& config, HostId hq,
+                                SimTime start_at = 0.0) {
+  internal::RunPlan plan;
+  Status status = internal::PlanRun(engine, spec, config, hq, &plan);
+  EXPECT_TRUE(status.ok()) << status.message();
+  if (!status.ok()) return QueryResult();
+
+  sim::SimOptions options = config.sim_options;
+  options.failure_detection = plan.failure_detection;
+  sim::Simulator simulator(engine.topology(), options);
+  if (internal::ShouldInstallLinkFaults(config.fault)) {
+    simulator.InstallFaults(&config.fault);
+  }
+  internal::ScheduleConfiguredChurn(engine, &simulator, config, plan.d_hat,
+                                    hq);
+  simulator.metrics().Reset(simulator.num_hosts(), start_at);
+  std::unique_ptr<protocols::ProtocolBase> protocol = protocols::MakeProtocol(
+      config.protocol, &simulator, plan.ctx, plan.protocol_options);
+  internal::ByzantineRig rig;
+  simulator.AttachProgram(internal::MaybeInterpose(
+      config.protocol, config.fault, plan.ctx.combiner, plan.ctx.fm,
+      simulator.num_hosts(), protocol.get(), hq, &rig));
+  if (start_at == 0.0) {
+    protocol->Start(hq);
+  } else {
+    simulator.ScheduleAt(start_at, [&protocol, hq] { protocol->Start(hq); });
+  }
+  simulator.Run();
+  return internal::HarvestResult(engine, simulator, simulator.metrics(),
+                                 *protocol, spec, config, plan.d_hat, hq,
+                                 start_at);
 }
 
 /// The determinism contract's comparator: every QueryResult field, exact.

@@ -13,7 +13,10 @@
 //      their solo runs while others are torn down around them, and a Reset
 //      timeline serves fresh queries bit-identically (the EventQueue::Clear
 //      / Simulator::Reset drain path under a live service workload).
-//  (d) Submit validation mirrors RunConcurrent's shared-timeline rules.
+//  (d) Submit validation: the shared-timeline rules every entry point
+//      applies, plus the service's own event budget.
+//  (f) A query's tick series anchors at its start: issued at t=10^6 it
+//      reports the same sends_per_tick as at t=0.
 //  (e) SessionPool lanes serve concurrent per-thread services whose results
 //      all match the solo reference.
 
@@ -373,6 +376,33 @@ TEST_F(QueryServiceTest, SubmitValidatesTheSharedTimeline) {
   service.RunUntil(10.0);
   EXPECT_EQ(service.Submit(9.0, spec, good, 0).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(QueryServiceTest, TickSeriesAnchorsAtTheQueryStart) {
+  // No churn and no faults, so the network a late query sees is the one a
+  // t=0 query sees: tick for tick, it sends the same — with no leading
+  // zeros for the million ticks before it started.
+  QuerySpec spec;
+  spec.aggregate = AggregateKind::kCount;
+  RunConfig config;
+  auto at_zero = engine_.Run(spec, config, 0);
+  ASSERT_TRUE(at_zero.ok());
+  ASSERT_FALSE(at_zero->cost.sends_per_tick.empty());
+
+  QueryService service(&engine_, ServiceOptions{});
+  ASSERT_TRUE(service.Submit(1e6, spec, config, 0).ok());
+  service.Drain();
+  QueryService::Completion done;
+  ASSERT_TRUE(service.Poll(&done));
+  EXPECT_EQ(done.started_at, 1e6);
+  EXPECT_EQ(done.result.cost.messages, at_zero->cost.messages);
+  EXPECT_EQ(done.result.cost.sends_per_tick, at_zero->cost.sends_per_tick);
+
+  sim::SimulatorSession session(&graph_, sim::SimOptions{});
+  auto batch = engine_.RunConcurrent(
+      &session, {QueryEngine::ConcurrentQuery{spec, config, 0, 1e6}});
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ((*batch)[0].cost.sends_per_tick, at_zero->cost.sends_per_tick);
 }
 
 TEST_F(QueryServiceTest, CompletionCallbackFiresBeforePollAndMayChain) {

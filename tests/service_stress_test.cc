@@ -4,6 +4,7 @@
 //  - admission never exceeds the lane cap (peak_in_flight == max_in_flight),
 //  - deferred queries run strictly in arrival order,
 //  - every query completes and declares,
+//  - no traffic outlives its lane's quiescence bound,
 //  - resident simulator bytes stay O(touched): proportional to the queried
 //    disc + churn pages, not to the 1,000 arrivals and not to the network.
 
@@ -75,6 +76,7 @@ void RunStress(const QueryEngine& engine, uint64_t n, size_t* resident) {
   EXPECT_EQ(service.peak_in_flight(), 8u);
   EXPECT_EQ(service.deferred(), 0u);
   EXPECT_EQ(service.in_flight(), 0u);
+  EXPECT_EQ(service.session().simulator().unrouted_events(), 0u);
 
   std::vector<SimTime> started(n, -1.0);
   QueryService::Completion done;

@@ -1,12 +1,14 @@
 // SimulatorSession correctness: the session/determinism contract
 // (docs/SESSIONS.md).
 //
-//  (a) Fresh-construction QueryEngine::Run and session-reusing Run produce
-//      field-for-field identical QueryResults across a 34-case
-//      (spec, config, hq) fingerprint matrix covering every protocol, both
-//      combiner families, churn, option ablations, and both media — with
-//      every session case running on a simulator warmed (and dirtied) by
-//      all previous cases.
+//  (a) The reference column (the protocol run directly on a simulator),
+//      fresh-construction QueryEngine::Run, session-reusing Run, and a
+//      QueryService submission produce field-for-field identical
+//      QueryResults across a 34-case (spec, config, hq) fingerprint matrix
+//      covering every protocol, both combiner families, churn, option
+//      ablations, and both media — with every session case running on a
+//      simulator warmed (and dirtied) by all previous cases, and no traffic
+//      outliving its lane.
 //  (b) Concurrent queries sharing one session each match their solo runs
 //      bit-for-bit, including their per-lane cost metrics.
 //  (c) ResidentStateBytes returns to a touched-proportional baseline after
@@ -53,8 +55,10 @@ TEST_F(SessionTest, FreshAndReusedRunsAreBitIdenticalAcrossTheMatrix) {
   std::map<int, std::unique_ptr<sim::SimulatorSession>> sessions;
   std::map<int, std::unique_ptr<sim::SimulatorSession>> service_sessions;
   for (const Case& c : cases) {
+    const QueryResult reference = ReferenceRun(engine_, c.spec, c.config, c.hq);
     auto fresh = engine_.Run(c.spec, c.config, c.hq);
     ASSERT_TRUE(fresh.ok()) << c.label;
+    ExpectIdentical(reference, *fresh, c.label);
     const int medium = static_cast<int>(c.config.sim_options.medium);
     auto& session = sessions[medium];
     if (session == nullptr) {
@@ -63,10 +67,11 @@ TEST_F(SessionTest, FreshAndReusedRunsAreBitIdenticalAcrossTheMatrix) {
     }
     auto reused = engine_.Run(session.get(), c.spec, c.config, c.hq);
     ASSERT_TRUE(reused.ok()) << c.label;
-    ExpectIdentical(*fresh, *reused, c.label);
+    ExpectIdentical(reference, *reused, c.label);
+    EXPECT_EQ(session->simulator().unrouted_events(), 0u) << c.label;
 
-    // Fourth column: the open query-arrival service. Submitted at t=0 on a
-    // service timeline configured from the query's own config.
+    // The service column: the open query-arrival service. Submitted at t=0
+    // on a service timeline configured from the query's own config.
     auto& service_session = service_sessions[medium];
     if (service_session == nullptr) {
       service_session = std::make_unique<sim::SimulatorSession>(
@@ -79,7 +84,8 @@ TEST_F(SessionTest, FreshAndReusedRunsAreBitIdenticalAcrossTheMatrix) {
     service.Drain();
     QueryService::Completion done;
     ASSERT_TRUE(service.Poll(&done)) << c.label;
-    ExpectIdentical(*fresh, done.result, c.label);
+    ExpectIdentical(reference, done.result, c.label);
+    EXPECT_EQ(service.session().simulator().unrouted_events(), 0u) << c.label;
   }
   // The point-to-point sessions served the bulk of the matrix on one
   // simulator build each.

@@ -54,11 +54,8 @@ A suppression without a written reason is itself a finding
 (bad-suppression) and cannot be suppressed: every exemption is an audit
 record, not an escape hatch.
 
-Engines: the libclang engine (tools/lint/clang_engine.py) is preferred
-when the clang Python bindings and a loadable libclang are present; the
-regex engine runs everywhere else (and is the reference for rule
-semantics — the fixtures in lint_determinism_test.py pin both). Use
---engine to force one.
+The scanner is regex-based over source with comments and string literals
+blanked out; the fixtures in lint_determinism_test.py pin its verdicts.
 
 Exit status: 0 = no unsuppressed findings, 1 = findings, 2 = usage error.
 """
@@ -107,7 +104,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# Suppression parsing (shared by both engines).
+# Suppression parsing.
 
 NOLINT_RE = re.compile(
     r"//\s*NOLINT-DETERMINISM\(([^)]*)\)\s*(?::\s*(.*))?")
@@ -172,7 +169,7 @@ class Suppressions:
 
 
 # --------------------------------------------------------------------------
-# C++ text preparation for the regex engine: blank out comments and string
+# C++ text preparation for the scanner: blank out comments and string
 # literals while preserving line structure, so patterns never match inside
 # either.
 
@@ -358,7 +355,7 @@ def collect_unordered_names(stripped_by_path):
     Members declared in a header are iterated in a .cc, so the name set is
     shared across every scanned file. Best-effort by construction: a
     same-named vector elsewhere would alias (suppress if that ever
-    happens); the libclang engine resolves real types instead.
+    happens).
     """
     names = set()
     for _, stripped in stripped_by_path.items():
@@ -388,8 +385,6 @@ def _matching_angle(text, open_pos):
 
 
 class RegexEngine:
-    name = "regex"
-
     def __init__(self, paths_and_text):
         # [(path, raw_text)] for every scanned file.
         self.raw = dict(paths_and_text)
@@ -702,25 +697,14 @@ def gather_files(paths):
     return sorted(set(files))
 
 
-def make_engine(kind, paths_and_text):
-    if kind in ("auto", "clang"):
-        try:
-            from clang_engine import ClangEngine  # noqa: deferred import
-            return ClangEngine(paths_and_text)
-        except Exception as exc:  # libclang genuinely unavailable
-            if kind == "clang":
-                raise SystemExit(
-                    "libclang engine unavailable: %s" % exc)
-    return RegexEngine(paths_and_text)
-
-
-def run(paths, engine_kind="auto", show_suppressed=False, out=sys.stdout):
+def lint(paths):
+    """Lints `paths`; returns (files, unsuppressed, suppressed) findings."""
     files = gather_files(paths)
     paths_and_text = []
     for path in files:
         with open(path, "r", encoding="utf-8", errors="replace") as f:
             paths_and_text.append((path, f.read()))
-    engine = make_engine(engine_kind, paths_and_text)
+    engine = RegexEngine(paths_and_text)
 
     unsuppressed = []
     suppressed = []
@@ -744,16 +728,21 @@ def run(paths, engine_kind="auto", show_suppressed=False, out=sys.stdout):
                 "NOLINT-DETERMINISM(%s) suppresses nothing (no %s finding "
                 "on its target line); remove or fix the annotation"
                 % (rule, rule)))
-
     unsuppressed.sort(key=lambda f: (f.path, f.line, f.rule))
+    suppressed.sort(key=lambda f: (f.path, f.line))
+    return files, unsuppressed, suppressed
+
+
+def run(paths, show_suppressed=False, out=sys.stdout):
+    files, unsuppressed, suppressed = lint(paths)
     for f in unsuppressed:
         print(f.format(), file=out)
     if show_suppressed:
-        for f in sorted(suppressed, key=lambda f: (f.path, f.line)):
+        for f in suppressed:
             print(f.format(), file=out)
-    print("determinism lint [%s engine]: %d file(s), %d finding(s), "
+    print("determinism lint: %d file(s), %d finding(s), "
           "%d audited suppression(s)" %
-          (engine.name, len(files), len(unsuppressed), len(suppressed)),
+          (len(files), len(unsuppressed), len(suppressed)),
           file=out)
     return 1 if unsuppressed else 0
 
@@ -764,8 +753,6 @@ def main(argv=None):
                     "docstring and docs/DETERMINISM.md).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to scan (default: src)")
-    parser.add_argument("--engine", choices=("auto", "clang", "regex"),
-                        default="auto")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="also list audited suppressions")
     parser.add_argument("--list-rules", action="store_true")
@@ -775,8 +762,7 @@ def main(argv=None):
             print(rule)
         return 0
     try:
-        return run(args.paths or ["src"], args.engine,
-                   args.show_suppressed)
+        return run(args.paths or ["src"], args.show_suppressed)
     except FileNotFoundError as exc:
         print("no such path: %s" % exc, file=sys.stderr)
         return 2
