@@ -58,7 +58,7 @@ struct RunConfig {
 
 /// D-hat safety margin added to the estimated diameter when QuerySpec.d_hat
 /// is 0. The deadline ladder of the tree/DAG baselines needs
-/// d_hat >= depth_max + 1 (see spanning_tree.cc); +2 also covers the
+/// d_hat >= depth_max + 1 (see level_convergecast.h); +2 also covers the
 /// double-sweep estimate being off by one.
 inline constexpr double kDefaultDiameterMargin = 2.0;
 

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "protocols/scalar_partial.h"
-
 namespace validity::protocols {
 
 namespace {
@@ -23,25 +21,6 @@ constexpr uint64_t kPhantomStream = 0xc2b2ae3d27d4eb4fULL;
 // (wildfire kConvergecast, gossip kPush, spanning-tree/all-report/dag
 // kReport, dag kRegister); local kind 1 is always dissemination.
 constexpr uint32_t kReplyChannelFloor = 2;
-
-// Wire replicas of inline payloads the mutator rewrites. Layouts mirror the
-// owning protocols' (private) payload structs; static_asserts below pin the
-// sizes so a drifting layout fails the build, not the experiment.
-struct GossipPushWire {
-  double value = 0.0;
-  double weight = 0.0;
-  double scalar = 0.0;
-};
-struct TreeReportWire {
-  ScalarPartial partial;
-  HostId to_parent = kInvalidHost;
-};
-struct HopScalarWire {
-  int32_t hop = 0;
-  double scalar = 0.0;
-};
-static_assert(sizeof(GossipPushWire) == 24);
-static_assert(sizeof(TreeReportWire) <= sim::kInlinePayloadBytes);
 
 bool IsExtremumCombiner(CombinerKind kind) {
   return kind == CombinerKind::kMin || kind == CombinerKind::kMax;
@@ -99,10 +78,9 @@ void StandardByzantineMutator::Inflate(sim::Message* msg) {
   if (msg->body) {
     // Pooled aggregate (wildfire convergecast / piggyback, report bodies):
     // corrupt a copy — the original body is shared with the fan-out's other
-    // in-flight deliveries. Protocol-private body layouts (e.g. the DAG's
-    // report body) pass through untouched; inflating them would require
-    // knowing their layout, and a byzantine host that cannot forge a format
-    // simply relays it.
+    // in-flight deliveries. Other body layouts (the DAG's report body,
+    // DagReport::Body) pass through untouched: a byzantine host that cannot
+    // forge a format simply relays it.
     const auto* aggregate = dynamic_cast<const AggregateBody*>(msg->body.get());
     if (aggregate == nullptr) return;
     PartialAggregate agg = aggregate->agg;
@@ -113,7 +91,7 @@ void StandardByzantineMutator::Inflate(sim::Message* msg) {
   uint32_t channel = msg->kind & sim::kLocalKindMask;
   uint32_t wire = msg->inline_bytes;
   if (protocol_ == ProtocolKind::kGossip && channel >= kReplyChannelFloor) {
-    GossipPushWire push = msg->LoadInline<GossipPushWire>();
+    GossipPushPayload push = msg->LoadInline<GossipPushPayload>();
     if (IsExtremumCombiner(combiner_)) {
       push.scalar = ExtremeFor(combiner_);
     } else {
@@ -126,7 +104,7 @@ void StandardByzantineMutator::Inflate(sim::Message* msg) {
   }
   if (protocol_ == ProtocolKind::kSpanningTree &&
       channel >= kReplyChannelFloor) {
-    TreeReportWire report = msg->LoadInline<TreeReportWire>();
+    TreeReportPayload report = msg->LoadInline<TreeReportPayload>();
     report.partial.count += phantoms_;
     report.partial.sum += phantoms_ * kPhantomValue;
     report.partial.min = std::min(report.partial.min, -kScalarExtreme);
@@ -144,7 +122,7 @@ void StandardByzantineMutator::Inflate(sim::Message* msg) {
       msg->StoreInline(scalar, wire);
     } else if (channel < kReplyChannelFloor &&
                wire == sizeof(int32_t) + sizeof(double)) {
-      HopScalarWire hop_scalar = msg->LoadInline<HopScalarWire>();
+      HopScalarPayload hop_scalar = msg->LoadInline<HopScalarPayload>();
       hop_scalar.scalar = ExtremeFor(combiner_);
       msg->StoreInline(hop_scalar, wire);
     }

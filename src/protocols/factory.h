@@ -6,11 +6,10 @@
 #include <memory>
 
 #include "protocols/all_report.h"
-#include "protocols/dag.h"
 #include "protocols/gossip.h"
+#include "protocols/level_convergecast.h"
 #include "protocols/protocol.h"
 #include "protocols/randomized_report.h"
-#include "protocols/spanning_tree.h"
 #include "protocols/wildfire.h"
 
 namespace validity::protocols {

@@ -54,7 +54,7 @@ void GossipProtocol::Activate(HostId self, int32_t hop) {
   // Forward the activation flood (fixed-size zero payload, no allocation).
   sim::Message out;
   out.kind = MakeKind(kBroadcast);
-  out.StoreInline(PushPayload{}, kPushWireBytes);
+  out.StoreInline(GossipPushPayload{}, kPushWireBytes);
   sim_->SendToNeighbors(self, std::move(out));
 
   // One gossip exchange per round, offset off the delivery grid. The timer
@@ -110,7 +110,7 @@ void GossipProtocol::DoRound(HostId self) {
   });
   if (partner == kInvalidHost) return;  // isolated this round
 
-  PushPayload payload;
+  GossipPushPayload payload;
   if (IsExtremum()) {
     payload.scalar = st.scalar;
   } else {
@@ -145,7 +145,7 @@ void GossipProtocol::OnMessage(HostId self, const sim::Message& msg) {
       // spread the query epidemically too).
       Activate(self, 0);
     }
-    const PushPayload in = msg.LoadInline<PushPayload>();
+    const GossipPushPayload in = msg.LoadInline<GossipPushPayload>();
     HostState& fresh = *states_.Find(self);
     if (IsExtremum()) {
       fresh.scalar = ctx_.aggregate == AggregateKind::kMin

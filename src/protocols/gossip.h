@@ -61,14 +61,9 @@ class GossipProtocol : public ProtocolBase {
 
   void OnLocalTimer(HostId self, uint32_t local_id) override;
 
-  /// Inline wire payload: push-sum mass or the min/max scalar. The
-  /// activation broadcast carries an (ignored) zero payload of the same
-  /// size, preserving the protocol's fixed 24-byte message format.
-  struct PushPayload {
-    double value = 0.0;
-    double weight = 0.0;
-    double scalar = 0.0;  // min/max variant
-  };
+  /// Inline wire payload: GossipPushPayload (protocol.h). The activation
+  /// broadcast carries an (ignored) zero payload of the same size,
+  /// preserving the protocol's fixed 24-byte message format.
   static constexpr uint32_t kPushWireBytes = 3 * sizeof(double);
 
   struct HostState {

@@ -20,6 +20,7 @@
 #include "common/types.h"
 #include "protocols/combiner.h"
 #include "common/paged_state.h"
+#include "protocols/scalar_partial.h"
 #include "sim/message.h"
 #include "sim/simulator.h"
 #include "sketch/fm_sketch.h"
@@ -65,8 +66,10 @@ class ProtocolBase : public sim::HostProgram {
   ProtocolBase& operator=(const ProtocolBase&) = delete;
 
   /// Issues the query at `hq` at the simulator's current time. The caller
-  /// must have attached this instance (sim->AttachProgram(this)) and then
-  /// runs the simulator; afterwards the answer is in result().
+  /// must first route this instance's traffic to it — engine queries open
+  /// a lane (Simulator::OpenLane(instance_id(), this)); a bare simulator
+  /// takes sim->AttachProgram(this) — and then runs the simulator;
+  /// afterwards the answer is in result().
   virtual void Start(HostId hq) = 0;
 
   const ProtocolRunResult& result() const { return result_; }
@@ -185,7 +188,9 @@ struct AggregateBody : sim::MessageBody {
   PartialAggregate agg;
 };
 
-/// Small inline payloads shared by the flooding protocols.
+/// Small inline payloads, each the one definition of its wire format: the
+/// owning protocols send them and the byzantine mutator (byzantine.cc)
+/// rewrites them.
 struct HopPayload {
   int32_t hop = 0;
 };
@@ -198,6 +203,20 @@ struct HopScalarPayload {
 /// Convergecast of a scalar aggregate.
 struct ScalarAggregatePayload {
   double scalar = 0.0;
+};
+/// SPANNINGTREE report: the duplicate-sensitive partial and its addressee
+/// (wireless filtering). The wire size excludes the addressee:
+/// ScalarPartial::kWireBytes.
+struct TreeReportPayload {
+  ScalarPartial partial;
+  HostId to_parent = kInvalidHost;
+};
+/// GOSSIP push: half the sender's push-sum mass, or its min/max running
+/// extreme (3 doubles on the wire).
+struct GossipPushPayload {
+  double value = 0.0;
+  double weight = 0.0;
+  double scalar = 0.0;  // min/max variant
 };
 
 }  // namespace validity::protocols

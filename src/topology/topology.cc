@@ -1,7 +1,6 @@
 #include "topology/topology.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace validity::topology {
 
@@ -73,7 +72,10 @@ uint32_t Topology::CopyNeighbors(HostId h, HostId* out) const {
   switch (kind_) {
     case Kind::kGraph: {
       auto nbrs = graph_->Neighbors(h);
-      std::memcpy(out, nbrs.data(), nbrs.size() * sizeof(HostId));
+      // copy_n, not memcpy: for an isolated host both the list and the
+      // caller's buffer may be null, which memcpy must not be given even
+      // for zero bytes.
+      std::copy_n(nbrs.data(), nbrs.size(), out);
       return static_cast<uint32_t>(nbrs.size());
     }
     case Kind::kGrid: {

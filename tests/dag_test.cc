@@ -5,9 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "protocols/dag.h"
+#include "protocols/level_convergecast.h"
 #include "protocols/oracle.h"
-#include "protocols/spanning_tree.h"
 #include "sim/churn.h"
 #include "topology/algorithms.h"
 #include "topology/generators.h"
@@ -180,6 +179,64 @@ TEST(DagTest, WirelessReportCostIndependentOfK) {
     (k == 1 ? msgs_k1 : msgs_k3) = sim.metrics().messages_sent();
   }
   EXPECT_EQ(msgs_k1, msgs_k3);
+}
+
+TEST(DagTest, OneParentDagIsTheSpanningTree) {
+  // With k = 1 the DAG adopts exactly the tree's parent (the sender of the
+  // first query copy) and reports along the same edges at the same slots:
+  // only the partial differs (a duplicate-insensitive combiner instead of
+  // a duplicate-sensitive scalar). Both pacings, both media, and a few
+  // mid-query failures so that eager heartbeat pruning runs too.
+  topology::Graph g = *topology::MakeRandom(300, 5.0, 23);
+  std::vector<double> values(g.num_hosts(), 1.0);
+  std::vector<sim::ChurnEvent> churn{{3.5, 17}, {6.5, 41}, {9.5, 88}};
+  for (auto medium : {sim::MediumKind::kPointToPoint,
+                      sim::MediumKind::kWireless}) {
+    for (auto pacing : {TreePacing::kSlotted, TreePacing::kEager}) {
+      SCOPED_TRACE(testing::Message()
+                   << "wireless=" << (medium == sim::MediumKind::kWireless)
+                   << " eager=" << (pacing == TreePacing::kEager));
+      sim::SimOptions opts;
+      opts.failure_detection = true;
+      opts.medium = medium;
+      sim::Simulator tree_sim(g, opts);
+      sim::ScheduleChurn(&tree_sim, churn);
+      SpanningTreeProtocol tree(
+          &tree_sim, MakeContext(AggregateKind::kCount, &values, 12),
+          SpanningTreeOptions{pacing});
+      tree_sim.AttachProgram(&tree);
+      tree.Start(0);
+      tree_sim.Run();
+
+      sim::Simulator dag_sim(g, opts);
+      sim::ScheduleChurn(&dag_sim, churn);
+      DagOptions dopts;
+      dopts.max_parents = 1;
+      dopts.pacing = pacing;
+      DagProtocol dag(&dag_sim,
+                      MakeContext(AggregateKind::kCount, &values, 12), dopts);
+      dag_sim.AttachProgram(&dag);
+      dag.Start(0);
+      dag_sim.Run();
+
+      for (HostId h = 0; h < g.num_hosts(); ++h) {
+        ASSERT_EQ(dag.DepthOf(h), tree.DepthOf(h)) << "host " << h;
+        const auto& parents = dag.ParentsOf(h);
+        if (tree.ParentOf(h) == kInvalidHost) {
+          EXPECT_TRUE(parents.empty()) << "host " << h;
+        } else {
+          ASSERT_EQ(parents.size(), 1u) << "host " << h;
+          EXPECT_EQ(parents[0], tree.ParentOf(h)) << "host " << h;
+        }
+      }
+      EXPECT_EQ(dag_sim.metrics().messages_sent(),
+                tree_sim.metrics().messages_sent());
+      ASSERT_TRUE(tree.result().declared);
+      ASSERT_TRUE(dag.result().declared);
+      EXPECT_EQ(dag.result().declared_at, tree.result().declared_at);
+      EXPECT_EQ(dag.result().value, tree.result().value);
+    }
+  }
 }
 
 }  // namespace

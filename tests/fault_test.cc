@@ -31,6 +31,7 @@
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "core/query_service.h"
+#include "fingerprint_matrix.h"
 #include "protocols/continuous.h"
 #include "sim/fault.h"
 #include "sim/session.h"
@@ -174,70 +175,6 @@ TEST(ByzantineMembershipTest, FractionBoundsAndDeterminism) {
 
 // --- Determinism contract under active faults -----------------------------
 
-void ExpectIdentical(const QueryResult& a, const QueryResult& b,
-                     const char* label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.value, b.value);
-  EXPECT_EQ(a.declared, b.declared);
-  EXPECT_EQ(a.d_hat_used, b.d_hat_used);
-  EXPECT_EQ(a.exact_full, b.exact_full);
-  EXPECT_EQ(a.cost.messages, b.cost.messages);
-  EXPECT_EQ(a.cost.bytes, b.cost.bytes);
-  EXPECT_EQ(a.cost.max_processed, b.cost.max_processed);
-  EXPECT_EQ(a.cost.declared_at, b.cost.declared_at);
-  EXPECT_EQ(a.cost.last_update_at, b.cost.last_update_at);
-  EXPECT_EQ(a.cost.sends_per_tick, b.cost.sends_per_tick);
-  EXPECT_EQ(a.cost.computation_histogram.Items(),
-            b.cost.computation_histogram.Items());
-  EXPECT_EQ(a.validity.q_low, b.validity.q_low);
-  EXPECT_EQ(a.validity.q_high, b.validity.q_high);
-  EXPECT_EQ(a.validity.hc_size, b.validity.hc_size);
-  EXPECT_EQ(a.validity.hu_size, b.validity.hu_size);
-  EXPECT_EQ(a.validity.within, b.validity.within);
-  EXPECT_EQ(a.validity.within_slack, b.validity.within_slack);
-  EXPECT_EQ(a.resident_state_bytes, b.resident_state_bytes);
-}
-
-/// One level per fault mode, plus mixed weather and faults-under-churn.
-std::vector<std::pair<const char*, FaultSpec>> FaultMatrix() {
-  std::vector<std::pair<const char*, FaultSpec>> specs;
-  FaultSpec drop;
-  drop.seed = 7;
-  drop.drop_rate = 0.15;
-  specs.emplace_back("drop", drop);
-  FaultSpec dup;
-  dup.seed = 8;
-  dup.duplicate_rate = 0.2;
-  dup.delay_rate = 0.25;
-  dup.max_delay_hops = 3;
-  specs.emplace_back("dup+delay", dup);
-  FaultSpec inflate;
-  inflate.seed = 10;
-  inflate.byzantine_mode = ByzantineMode::kInflate;
-  inflate.byzantine_fraction = 0.15;
-  specs.emplace_back("byz-inflate", inflate);
-  FaultSpec deaden;
-  deaden.seed = 11;
-  deaden.byzantine_mode = ByzantineMode::kDeadenReplies;
-  deaden.byzantine_fraction = 0.25;
-  specs.emplace_back("byz-deaden", deaden);
-  FaultSpec stale;
-  stale.seed = 12;
-  stale.byzantine_mode = ByzantineMode::kStaleReplay;
-  stale.byzantine_fraction = 0.25;
-  specs.emplace_back("byz-stale", stale);
-  FaultSpec weather;
-  weather.seed = 13;
-  weather.drop_rate = 0.08;
-  weather.duplicate_rate = 0.05;
-  weather.delay_rate = 0.1;
-  weather.max_delay_hops = 2;
-  weather.byzantine_mode = ByzantineMode::kInflate;
-  weather.byzantine_fraction = 0.1;
-  specs.emplace_back("weather", weather);
-  return specs;
-}
-
 class FaultFingerprintTest : public ::testing::Test {
  protected:
   FaultFingerprintTest()
@@ -249,35 +186,15 @@ class FaultFingerprintTest : public ::testing::Test {
 };
 
 TEST_F(FaultFingerprintTest, FreshAndReusedRunsAreBitIdenticalUnderFaults) {
-  // Per fault level: WILDFIRE/FM, WILDFIRE/exact under churn (faults and
-  // churn composed), SPANNINGTREE/exact, GOSSIP, DAG — body-path, inline
-  // wire, and mass-based traffic all covered. Every session case runs on a
-  // simulator dirtied by all previous cases.
-  struct ProtoCase {
-    const char* label;
-    ProtocolKind kind;
-    AggregateKind agg;
-    bool exact;
-    uint32_t removals;
-  };
-  const std::vector<ProtoCase> protos = {
-      {"wf-fm", ProtocolKind::kWildfire, AggregateKind::kCount, false, 0},
-      {"wf-churn", ProtocolKind::kWildfire, AggregateKind::kSum, true, 60},
-      {"tree", ProtocolKind::kSpanningTree, AggregateKind::kCount, true, 0},
-      {"gossip", ProtocolKind::kGossip, AggregateKind::kCount, false, 0},
-      {"dag", ProtocolKind::kDag, AggregateKind::kCount, false, 0},
-  };
+  // Every FaultProtoCases() case per fault level. Every session case runs
+  // on a simulator dirtied by all previous cases.
   sim::SimulatorSession session(&graph_, sim::SimOptions{});
   for (const auto& [fault_label, fault] : FaultMatrix()) {
-    for (const ProtoCase& pc : protos) {
+    for (const FaultProtoCase& pc : FaultProtoCases()) {
       SCOPED_TRACE(fault_label);
       QuerySpec spec;
-      spec.aggregate = pc.agg;
-      spec.exact_combiners = pc.exact;
       RunConfig config;
-      config.protocol = pc.kind;
-      config.churn_removals = pc.removals;
-      config.fault = fault;
+      MakeFaultCase(pc, fault, &spec, &config);
       auto fresh = engine_.Run(spec, config, 0);
       ASSERT_TRUE(fresh.ok()) << pc.label;
       auto reused = engine_.Run(&session, spec, config, 0);

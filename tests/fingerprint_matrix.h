@@ -1,9 +1,12 @@
 // Shared fingerprint fixtures for the determinism-contract tests: the
-// 34-case (spec, config, hq) matrix, the reference column every entry point
-// is held against, and the field-for-field QueryResult comparison. Used by
+// 34-case (spec, config, hq) matrix, the fault matrix (6 fault specs x 5
+// protocol cases), the reference column every entry point is held against,
+// and the field-for-field QueryResult comparison. Used by
 // tests/session_test.cc (reference == fresh == session-reused == service),
-// tests/query_service_test.cc, and tests/fingerprint_fuzz_test.cc (the
-// randomized differential harness over the same comparator).
+// tests/query_service_test.cc, tests/fault_test.cc,
+// tests/fingerprint_fuzz_test.cc (the randomized differential harness over
+// the same comparator) and tests/golden_fingerprint_test.cc (the same cases
+// held against digests recorded at an earlier commit).
 
 #ifndef VALIDITY_TESTS_FINGERPRINT_MATRIX_H_
 #define VALIDITY_TESTS_FINGERPRINT_MATRIX_H_
@@ -11,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/run_internal.h"
 #include "protocols/factory.h"
+#include "sim/fault.h"
 #include "sim/simulator.h"
 
 namespace validity::core {
@@ -110,6 +115,81 @@ inline std::vector<Case> FingerprintMatrix() {
   // A different querying host. (1)
   add("wf-hq7", ProtocolKind::kWildfire, AggregateKind::kCount, false, 40, 7);
   return cases;
+}
+
+/// One level per fault mode, plus mixed weather and faults-under-churn.
+inline std::vector<std::pair<const char*, sim::FaultSpec>> FaultMatrix() {
+  using sim::ByzantineMode;
+  using sim::FaultSpec;
+  std::vector<std::pair<const char*, FaultSpec>> specs;
+  FaultSpec drop;
+  drop.seed = 7;
+  drop.drop_rate = 0.15;
+  specs.emplace_back("drop", drop);
+  FaultSpec dup;
+  dup.seed = 8;
+  dup.duplicate_rate = 0.2;
+  dup.delay_rate = 0.25;
+  dup.max_delay_hops = 3;
+  specs.emplace_back("dup+delay", dup);
+  FaultSpec inflate;
+  inflate.seed = 10;
+  inflate.byzantine_mode = ByzantineMode::kInflate;
+  inflate.byzantine_fraction = 0.15;
+  specs.emplace_back("byz-inflate", inflate);
+  FaultSpec deaden;
+  deaden.seed = 11;
+  deaden.byzantine_mode = ByzantineMode::kDeadenReplies;
+  deaden.byzantine_fraction = 0.25;
+  specs.emplace_back("byz-deaden", deaden);
+  FaultSpec stale;
+  stale.seed = 12;
+  stale.byzantine_mode = ByzantineMode::kStaleReplay;
+  stale.byzantine_fraction = 0.25;
+  specs.emplace_back("byz-stale", stale);
+  FaultSpec weather;
+  weather.seed = 13;
+  weather.drop_rate = 0.08;
+  weather.duplicate_rate = 0.05;
+  weather.delay_rate = 0.1;
+  weather.max_delay_hops = 2;
+  weather.byzantine_mode = ByzantineMode::kInflate;
+  weather.byzantine_fraction = 0.1;
+  specs.emplace_back("weather", weather);
+  return specs;
+}
+
+/// The protocol cases run under every FaultMatrix() level: WILDFIRE/FM,
+/// WILDFIRE/exact under churn (faults and churn composed),
+/// SPANNINGTREE/exact, GOSSIP, DAG — body-path, inline wire, and
+/// mass-based traffic all covered.
+struct FaultProtoCase {
+  const char* label;
+  protocols::ProtocolKind kind;
+  AggregateKind agg;
+  bool exact;
+  uint32_t removals;
+};
+
+inline std::vector<FaultProtoCase> FaultProtoCases() {
+  using protocols::ProtocolKind;
+  return {
+      {"wf-fm", ProtocolKind::kWildfire, AggregateKind::kCount, false, 0},
+      {"wf-churn", ProtocolKind::kWildfire, AggregateKind::kSum, true, 60},
+      {"tree", ProtocolKind::kSpanningTree, AggregateKind::kCount, true, 0},
+      {"gossip", ProtocolKind::kGossip, AggregateKind::kCount, false, 0},
+      {"dag", ProtocolKind::kDag, AggregateKind::kCount, false, 0},
+  };
+}
+
+/// The (spec, config) of one fault-matrix case; hq is 0.
+inline void MakeFaultCase(const FaultProtoCase& pc, const sim::FaultSpec& fault,
+                          QuerySpec* spec, RunConfig* config) {
+  spec->aggregate = pc.agg;
+  spec->exact_combiners = pc.exact;
+  config->protocol = pc.kind;
+  config->churn_removals = pc.removals;
+  config->fault = fault;
 }
 
 /// The reference column: the query's protocol run directly on a fresh

@@ -1,0 +1,240 @@
+// Cross-commit golden guard: every case of the 34-case fingerprint matrix
+// and of the fault matrix (6 fault specs x 5 protocol cases) is run through
+// QueryEngine::Run and hashed into one 64-bit digest over every field that
+// ExpectIdentical compares, except resident_state_bytes (a property of the
+// per-host record layout, which a refactor may shrink without changing any
+// result). The digests are compared with the table below.
+//
+// The other fingerprint tests compare entry points with each other inside
+// one build, so a change that moves every entry point's answer the same way
+// passes them. This test catches it: a refactor that claims to keep results
+// bit-identical must leave every digest where it is.
+//
+// Re-recording the table is allowed only for a deliberate result change,
+// and that change must be named in CHANGES.md. On a mismatch the test
+// prints each failing case's label with its new digest, in table syntax.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "core/engine.h"
+#include "fingerprint_matrix.h"
+#include "topology/generators.h"
+
+namespace validity::core {
+namespace {
+
+/// FNV-1a over the fields' bit patterns. Self-contained on purpose: the
+/// digest must not move when a hash function in src/ does.
+class Digest {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(int64_t v) { Add(static_cast<uint64_t>(v)); }
+  void Add(double v) { Add(std::bit_cast<uint64_t>(v)); }
+  void Add(bool v) { Add(static_cast<uint64_t>(v)); }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+uint64_t DigestOf(const QueryResult& r) {
+  Digest d;
+  d.Add(r.value);
+  d.Add(r.declared);
+  d.Add(r.d_hat_used);
+  d.Add(r.exact_full);
+  d.Add(r.cost.messages);
+  d.Add(r.cost.bytes);
+  d.Add(r.cost.max_processed);
+  d.Add(r.cost.declared_at);
+  d.Add(r.cost.last_update_at);
+  d.Add(static_cast<uint64_t>(r.cost.sends_per_tick.size()));
+  for (uint64_t sends : r.cost.sends_per_tick) d.Add(sends);
+  const auto items = r.cost.computation_histogram.Items();
+  d.Add(static_cast<uint64_t>(items.size()));
+  for (const auto& [processed, hosts] : items) {
+    d.Add(processed);
+    d.Add(hosts);
+  }
+  d.Add(r.validity.q_low);
+  d.Add(r.validity.q_high);
+  d.Add(r.validity.hc_size);
+  d.Add(r.validity.hu_size);
+  d.Add(r.validity.within);
+  d.Add(r.validity.within_slack);
+  return d.value();
+}
+
+struct Golden {
+  const char* label;
+  uint64_t digest;
+};
+
+// Recorded at the commit before the level-convergecast merge.
+constexpr Golden kGolden[] = {
+    {"matrix/all-report/count-exact", 0xe1d984fa7ff11f5aULL},
+    {"matrix/all-report/count-fm", 0xe1d984fa7ff11f5aULL},
+    {"matrix/randomized-report/count-exact", 0x2271378100974aa8ULL},
+    {"matrix/randomized-report/count-fm", 0x2271378100974aa8ULL},
+    {"matrix/spanning-tree/count-exact", 0xed2be32f51bef0bcULL},
+    {"matrix/spanning-tree/count-fm", 0xed2be32f51bef0bcULL},
+    {"matrix/dag/count-exact", 0xfbc786ba5727e912ULL},
+    {"matrix/dag/count-fm", 0xbf7bde754340df69ULL},
+    {"matrix/wildfire/count-exact", 0x9e363889e86b2c05ULL},
+    {"matrix/wildfire/count-fm", 0x336d1c9fb9192321ULL},
+    {"matrix/all-report/count-churn", 0x15ed5bff8421f2a1ULL},
+    {"matrix/randomized-report/count-churn", 0xe27a4a09d3e77c34ULL},
+    {"matrix/spanning-tree/count-churn", 0x72048be7f287fc5fULL},
+    {"matrix/dag/count-churn", 0xfd2565d35ef14885ULL},
+    {"matrix/wildfire/count-churn", 0x8ab912dd5f3b9de1ULL},
+    {"matrix/wildfire/wf-sum", 0xa850f3dab7427f10ULL},
+    {"matrix/wildfire/wf-min", 0x1d0ace0a4335329cULL},
+    {"matrix/wildfire/wf-max", 0x6daa1bc23c2d8b99ULL},
+    {"matrix/wildfire/wf-avg", 0xb3277888e1de5de9ULL},
+    {"matrix/dag/dag-sum", 0x77d3cfbf17526de3ULL},
+    {"matrix/dag/dag-min", 0x93ab53f44c63d1c3ULL},
+    {"matrix/spanning-tree/tree-sum", 0xa6549e72ce456c38ULL},
+    {"matrix/spanning-tree/tree-avg", 0x4e927de495cdf7f8ULL},
+    {"matrix/all-report/ar-sum", 0x06316d7aceab9d06ULL},
+    {"matrix/all-report/ar-reverse", 0x44efd4a728220ec3ULL},
+    {"matrix/wildfire/wf-no-piggyback", 0x3573fd306427624bULL},
+    {"matrix/wildfire/wf-no-early-term", 0x300575acd964cfd3ULL},
+    {"matrix/wildfire/wf-no-coalesce", 0x41a60f522813601cULL},
+    {"matrix/dag/dag-k3", 0xe19d531f975624baULL},
+    {"matrix/spanning-tree/tree-eager", 0x4f2de4bc73d80246ULL},
+    {"matrix/wildfire/wf-wireless", 0x169fc555ea1923d0ULL},
+    {"matrix/wildfire/wf-churn-sum", 0xf3925de9e4a31c01ULL},
+    {"matrix/randomized-report/rr-churn-sum", 0x4240ca527c07aa57ULL},
+    {"matrix/wildfire/wf-hq7", 0x98ec3054c51a571aULL},
+    {"fault/drop/wf-fm", 0x3df55686e792b606ULL},
+    {"fault/drop/wf-churn", 0xf93589b08000cef7ULL},
+    {"fault/drop/tree", 0xbf4eafc8bc66afe2ULL},
+    {"fault/drop/gossip", 0x9938a30f600ed82fULL},
+    {"fault/drop/dag", 0x1d76e16ae871561fULL},
+    {"fault/dup+delay/wf-fm", 0x6028260ca1b77c4bULL},
+    {"fault/dup+delay/wf-churn", 0x24462fb5c73bbc2eULL},
+    {"fault/dup+delay/tree", 0x894c47b52a7bc2f7ULL},
+    {"fault/dup+delay/gossip", 0x8f96bd850218549aULL},
+    {"fault/dup+delay/dag", 0x7a266722c1357eceULL},
+    {"fault/byz-inflate/wf-fm", 0x3888b43a2cb00010ULL},
+    {"fault/byz-inflate/wf-churn", 0x5d79104f41d6cfdfULL},
+    {"fault/byz-inflate/tree", 0x2d75e4d49541f0c6ULL},
+    {"fault/byz-inflate/gossip", 0x080e931411e5af5eULL},
+    {"fault/byz-inflate/dag", 0x45e1d1753fd75ef3ULL},
+    {"fault/byz-deaden/wf-fm", 0x4ac611821c065a0bULL},
+    {"fault/byz-deaden/wf-churn", 0xcdae29b4e6157467ULL},
+    {"fault/byz-deaden/tree", 0xad75c81251805b14ULL},
+    {"fault/byz-deaden/gossip", 0xc0417debf6159b57ULL},
+    {"fault/byz-deaden/dag", 0x84743460bc16315bULL},
+    {"fault/byz-stale/wf-fm", 0x9a6a05361a758d94ULL},
+    {"fault/byz-stale/wf-churn", 0x164c2b90af952e6cULL},
+    {"fault/byz-stale/tree", 0x190d63fa6ce97563ULL},
+    {"fault/byz-stale/gossip", 0x018341aa95087ac6ULL},
+    {"fault/byz-stale/dag", 0x45e1d1753fd75ef3ULL},
+    {"fault/weather/wf-fm", 0xf6dad4dbfe61dfc5ULL},
+    {"fault/weather/wf-churn", 0x092f825c46174634ULL},
+    {"fault/weather/tree", 0xd46b550d222c5c02ULL},
+    {"fault/weather/gossip", 0xdf3fa135b82b8269ULL},
+    {"fault/weather/dag", 0x015d2e84f77d4be0ULL},
+};
+
+struct Observed {
+  std::string label;
+  uint64_t digest;
+};
+
+std::vector<Observed> RunAllCases() {
+  std::vector<Observed> out;
+  {
+    topology::Graph graph = *topology::MakeGnutellaLike(500, 91);
+    QueryEngine engine(&graph, MakeZipfValues(500, 91));
+    for (const Case& c : FingerprintMatrix()) {
+      auto result = engine.Run(c.spec, c.config, c.hq);
+      EXPECT_TRUE(result.ok()) << c.label;
+      out.push_back({std::string("matrix/") +
+                         protocols::ProtocolKindName(c.config.protocol) +
+                         "/" + c.label,
+                     result.ok() ? DigestOf(*result) : 0});
+    }
+  }
+  topology::Graph graph = *topology::MakeGnutellaLike(400, 91);
+  QueryEngine engine(&graph, MakeZipfValues(400, 91));
+  for (const auto& [fault_label, fault] : FaultMatrix()) {
+    for (const FaultProtoCase& pc : FaultProtoCases()) {
+      QuerySpec spec;
+      RunConfig config;
+      MakeFaultCase(pc, fault, &spec, &config);
+      auto result = engine.Run(spec, config, 0);
+      std::string label = std::string("fault/") + fault_label + "/" + pc.label;
+      EXPECT_TRUE(result.ok()) << label;
+      out.push_back({label, result.ok() ? DigestOf(*result) : 0});
+    }
+  }
+  return out;
+}
+
+TEST(GoldenFingerprintTest, EveryCaseMatchesItsRecordedDigest) {
+  const std::vector<Observed> observed = RunAllCases();
+  ASSERT_EQ(observed.size(), 34u + 6u * 5u);
+  constexpr size_t kRecorded = sizeof(kGolden) / sizeof(kGolden[0]);
+  EXPECT_EQ(kRecorded, observed.size()) << "golden table size";
+  size_t mismatches = 0;
+  for (size_t i = 0; i < observed.size(); ++i) {
+    const Observed& o = observed[i];
+    if (i < kRecorded && o.label == kGolden[i].label &&
+        o.digest == kGolden[i].digest) {
+      continue;
+    }
+    ++mismatches;
+    ADD_FAILURE() << "digest moved: " << o.label;
+    std::printf("    {\"%s\", 0x%016llxULL},\n", o.label.c_str(),
+                static_cast<unsigned long long>(o.digest));
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// The digest sees every compared field: changing any one moves it.
+TEST(GoldenFingerprintTest, DigestCoversEveryComparedField) {
+  QueryResult base;
+  base.cost.sends_per_tick = {1, 2};
+  base.cost.computation_histogram.Add(3);
+  const uint64_t d0 = DigestOf(base);
+  std::vector<QueryResult> variants(17, base);
+  variants[0].value = 1;
+  variants[1].declared = true;
+  variants[2].d_hat_used = 1;
+  variants[3].exact_full = 1;
+  variants[4].cost.messages = 1;
+  variants[5].cost.bytes = 1;
+  variants[6].cost.max_processed = 1;
+  variants[7].cost.declared_at = 1;
+  variants[8].cost.last_update_at = 1;
+  variants[9].cost.sends_per_tick[1] = 3;
+  variants[10].cost.computation_histogram.Add(3);
+  variants[11].validity.q_low = 1;
+  variants[12].validity.q_high = 1;
+  variants[13].validity.hc_size = 1;
+  variants[14].validity.hu_size = 1;
+  variants[15].validity.within = true;
+  variants[16].validity.within_slack = true;
+  for (size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_NE(DigestOf(variants[i]), d0) << "field " << i;
+  }
+  QueryResult layout_only = base;
+  layout_only.resident_state_bytes = 4096;
+  EXPECT_EQ(DigestOf(layout_only), d0);
+}
+
+}  // namespace
+}  // namespace validity::core

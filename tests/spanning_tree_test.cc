@@ -6,7 +6,7 @@
 
 #include "core/engine.h"
 #include "protocols/oracle.h"
-#include "protocols/spanning_tree.h"
+#include "protocols/level_convergecast.h"
 #include "sim/churn.h"
 #include "topology/algorithms.h"
 #include "topology/generators.h"
