@@ -215,7 +215,7 @@ void EventQueue::Reserve(size_t events) {
 bool EventQueue::RunOne() {
   if (size_ == 0) return false;
   Event event = PopNext();
-  ++executed_;
+  executed_ += event.tag == EventTag::kDeliverBatch ? event.a : 1;
   if (event.tag == EventTag::kGeneric) {
     // Move the closure out before running it: the action may schedule more
     // generic events, which can grow the pool and reuse this slot.

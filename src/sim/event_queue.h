@@ -15,9 +15,11 @@
 //
 // Typed events (deliveries, timers, failures, failure detections) carry
 // their operands inline and are dispatched through a handler installed by
-// the simulator; kGeneric events are the escape hatch for arbitrary
-// closures (simulation scripting, churn harnesses, tests) and index into a
-// side table of recycled std::function slots.
+// the simulator; a fan-out's on-time deliveries travel as one batch event,
+// which executed() still counts once per delivery. kGeneric events are the
+// escape hatch for arbitrary closures (simulation scripting, churn
+// harnesses, tests) and index into a side table of recycled std::function
+// slots.
 
 #ifndef VALIDITY_SIM_EVENT_QUEUE_H_
 #define VALIDITY_SIM_EVENT_QUEUE_H_
@@ -36,6 +38,10 @@ enum class EventTag : uint8_t {
   kGeneric = 0,
   /// Deliver message-slab slot `slot` to host `a` (sent by host `b`).
   kDeliver,
+  /// Deliver message-slab slot `slot` to each of the `a` receivers stored
+  /// in the slot, in order (sent by host `b`): every on-time copy of one
+  /// fan-out, in one event. Counts as `a` executed events.
+  kDeliverBatch,
   /// Fire HostProgram::OnTimer(a, payload) if `a` is alive.
   kTimer,
   /// Fail host `a`.
@@ -111,7 +117,8 @@ class EventQueue {
   /// for the next run. This is the session-reset path (sim/session.h).
   void Clear(const std::function<void(const Event&)>& on_discard = nullptr);
 
-  /// Number of events executed so far.
+  /// Number of events executed so far; a kDeliverBatch counts once per
+  /// receiver.
   uint64_t executed() const { return executed_; }
 
   /// Bytes of queue storage currently held (bucket event vectors, calendar

@@ -24,13 +24,6 @@ void Metrics::RecordSend(SimTime t, size_t bytes) {
   ++sends_per_tick_[tick];
 }
 
-void Metrics::RecordProcessed(HostId h) {
-  VALIDITY_DCHECK(h < num_hosts_);
-  uint64_t& count = counts_.Touch(h);
-  if (count++ == 0) touched_.push_back(h);
-  ++messages_delivered_;
-}
-
 uint64_t Metrics::MaxProcessed() const {
   uint64_t max_count = 0;
   for (HostId h : touched_) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/logging.h"
 #include "common/paged_state.h"
 #include "common/types.h"
 
@@ -40,8 +41,14 @@ class Metrics {
   /// point-to-point; one call per wireless broadcast).
   void RecordSend(SimTime t, size_t bytes);
 
-  /// Records that host `h` processed one delivered message.
-  void RecordProcessed(HostId h);
+  /// Records that host `h` processed one delivered message. Inline: it runs
+  /// once per delivery, inside the simulator's batch loop.
+  void RecordProcessed(HostId h) {
+    VALIDITY_DCHECK(h < num_hosts_);
+    uint64_t& count = counts_.Touch(h);
+    if (count++ == 0) touched_.push_back(h);
+    ++messages_delivered_;
+  }
 
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }

@@ -57,11 +57,14 @@ void Simulator::CheckEventBudget() const {
 }
 
 void Simulator::Reset() {
-  // Drop pending events; undelivered fan-out deliveries still hold slab
-  // references that must be released for their slots (and pooled bodies) to
-  // recycle.
+  // Drop pending events; undelivered fan-out deliveries and batches still
+  // hold slab references that must be released for their slots (and pooled
+  // bodies) to recycle.
   queue_.Clear([this](const Event& event) {
-    if (event.tag == EventTag::kDeliver) DropSlotRef(event.slot);
+    if (event.tag == EventTag::kDeliver ||
+        event.tag == EventTag::kDeliverBatch) {
+      DropSlotRef(event.slot);
+    }
   });
   // Every slot is free now; rewind the slab to sequential allocation instead
   // of chasing the drained free list's scrambled order (chunk storage stays
@@ -70,8 +73,8 @@ void Simulator::Reset() {
   // is only body-reset when it leaves the free list, and slab_used_ = 0
   // abandons the list.
   for (uint32_t i = 0; i < slab_used_; ++i) {
-    // Fault-duplicated and fault-delayed deliveries hold extra refs; the
-    // queue drain above must have released every one of them.
+    // Every pending delivery or batch holds one ref; the queue drain above
+    // must have released every one of them.
     VALIDITY_DCHECK(SlotAt(i).refs == 0);
     SlotAt(i).msg.body.reset();
   }
@@ -148,13 +151,21 @@ void Simulator::ScheduleAfter(SimTime dt, std::function<void()> action) {
 
 void Simulator::DispatchEvent(const Event& event) {
   switch (event.tag) {
-    case EventTag::kDeliver: {
-      MessageSlot& slot = SlotAt(event.slot);
-      slot.msg.dst = event.a;
+    case EventTag::kDeliver:
+    case EventTag::kDeliverBatch: {
       // Slab chunks have stable addresses, so `slot` stays valid while the
-      // program's OnMessage schedules further sends into the slab.
-      DeliverTo(event.a, slot.msg);
-      if (--slot.refs == 0) ReleaseMessageSlot(event.slot);
+      // program's OnMessage schedules further sends into the slab. No
+      // delivery opens or closes a lane, so one lookup serves a batch.
+      MessageSlot& slot = SlotAt(event.slot);
+      Lane* lane = FindLane(slot.msg.kind >> kInstanceTagShift);
+      if (event.tag == EventTag::kDeliver) {
+        DeliverTo(lane, event.a, slot.msg);
+      } else {
+        for (uint32_t i = 0; i < event.a; ++i) {
+          DeliverTo(lane, slot.batch[i], slot.msg);
+        }
+      }
+      DropSlotRef(event.slot);
       break;
     }
     case EventTag::kTimer: {
@@ -307,8 +318,8 @@ StatusOr<HostId> Simulator::AddHost(const std::vector<HostId>& neighbors) {
   return id;
 }
 
-void Simulator::DeliverTo(HostId to, const Message& msg) {
-  Lane* lane = FindLane(msg.kind >> kInstanceTagShift);
+void Simulator::DeliverTo(Lane* lane, HostId to, Message& msg) {
+  msg.dst = to;
   HostProgram* program = ProgramFor(lane);
   if (!IsAlive(to)) {
     Trace(TraceEventKind::kDrop, msg.src, to, msg.kind);
@@ -361,11 +372,35 @@ void Simulator::Fanout(HostId from, Message msg, const HostId* targets,
     metrics.RecordSend(Now(), bytes);
   }
   if (count == 0) return;
-  // With a fault plane installed, one guard ref keeps the slot alive while
-  // per-receiver fates (which may drop mid-fan-out) adjust the count.
-  const uint32_t guard = fault_armed_ ? 1u : 0u;
-  const uint32_t slot = AcquireMessageSlot(std::move(msg), count + guard);
+  const uint32_t index = AcquireMessageSlot(std::move(msg), 0);
+  MessageSlot& slot = SlotAt(index);
   const SimTime arrive = Now() + options_.delta;
+  // Every pending event referencing the slot holds one ref.
+  auto deliver_at = [&](SimTime t, HostId to) {
+    ++slot.refs;
+    queue_.ScheduleTyped(t, EventTag::kDeliver, to, from, index, 0);
+  };
+  // On-time copies wait in the slot and are scheduled after the loop: only
+  // late copies (other timestamps) are pushed meanwhile, so the `arrive`
+  // bucket's order is exactly one push per copy in loop order. Past the
+  // batch cap they spill to individual events, still in that order.
+  constexpr uint32_t kCap = topology::Topology::kMaxImplicitDegree;
+  uint32_t on_time = 0;
+  auto copy = [&](HostId to, uint32_t extra_hops) {
+    if (extra_hops != 0) {
+      deliver_at(arrive + extra_hops * options_.delta, to);
+      return;
+    }
+    if (on_time < kCap) {
+      slot.batch[on_time] = to;
+    } else {
+      if (on_time == kCap) {
+        for (HostId held : slot.batch) deliver_at(arrive, held);
+      }
+      deliver_at(arrive, to);
+    }
+    ++on_time;
+  };
   for (uint32_t i = 0; i < count; ++i) {
     const HostId to = targets[i];
     VALIDITY_DCHECK(to < num_hosts_);
@@ -373,13 +408,29 @@ void Simulator::Fanout(HostId from, Message msg, const HostId* targets,
       Trace(TraceEventKind::kSend, from, to, kind);
       metrics.RecordSend(Now(), bytes);
     }
-    if (__builtin_expect(fault_armed_, 0)) {
-      FaultDeliver(arrive, to, from, slot, kind);
-    } else {
-      queue_.ScheduleTyped(arrive, EventTag::kDeliver, to, from, slot, 0);
+    if (__builtin_expect(!fault_armed_, 1)) {
+      copy(to, 0);
+      continue;
     }
+    // Each receiver's fate is decided at send time: dropped, or one copy
+    // plus possibly a duplicate, each on time or late by whole hops.
+    const LinkFate fate =
+        DecideLinkFate(*fault_, from, to, Now(), kind & kLocalKindMask);
+    if (fate.drop) {
+      Trace(TraceEventKind::kDrop, from, to, kind);
+      continue;
+    }
+    copy(to, fate.delay_hops);
+    if (fate.duplicate) copy(to, fate.duplicate_delay_hops);
   }
-  if (guard != 0) DropSlotRef(slot);
+  if (on_time == 1) {
+    deliver_at(arrive, slot.batch[0]);
+  } else if (on_time >= 2 && on_time <= kCap) {
+    ++slot.refs;
+    queue_.ScheduleTyped(arrive, EventTag::kDeliverBatch, on_time, from, index,
+                         0);
+  }
+  if (slot.refs == 0) ReleaseMessageSlot(index);  // every copy dropped
 }
 
 void Simulator::InstallFaults(const FaultSpec* spec) {
@@ -389,26 +440,6 @@ void Simulator::InstallFaults(const FaultSpec* spec) {
   // disarmed: installed-but-idle is bit-identical to absent and costs the
   // same single predicted-not-taken test per delivery.
   fault_armed_ = spec != nullptr && spec->HasLinkFaults();
-}
-
-void Simulator::FaultDeliver(SimTime arrive, HostId to, HostId from,
-                             uint32_t slot, uint32_t kind) {
-  LinkFate fate =
-      DecideLinkFate(*fault_, from, to, Now(), kind & kLocalKindMask);
-  if (fate.drop) {
-    Trace(TraceEventKind::kDrop, from, to, kind);
-    // The caller's guard ref keeps the slot alive even if this was the last
-    // pending target of a fan-out.
-    --SlotAt(slot).refs;
-    return;
-  }
-  queue_.ScheduleTyped(arrive + fate.delay_hops * options_.delta,
-                       EventTag::kDeliver, to, from, slot, 0);
-  if (fate.duplicate) {
-    ++SlotAt(slot).refs;
-    queue_.ScheduleTyped(arrive + fate.duplicate_delay_hops * options_.delta,
-                         EventTag::kDeliver, to, from, slot, 0);
-  }
 }
 
 void Simulator::ScheduleTimer(HostId h, SimTime t, uint64_t timer_id) {

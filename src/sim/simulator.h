@@ -29,8 +29,10 @@
 //    not O(network) (ResidentTableBytes() reports the footprint).
 //  - message deliveries and timers travel as typed plain-data events (see
 //    event_queue.h), and message payloads live in a refcounted slab whose
-//    slots are recycled — a point-to-point fan-out to k neighbors performs
-//    zero allocations per neighbor in steady state.
+//    slots are recycled — a fan-out to k neighbors performs zero
+//    allocations in steady state. Its on-time deliveries (up to
+//    kMaxImplicitDegree) are one batched event, run in send order; each
+//    still counts as one executed event.
 
 #ifndef VALIDITY_SIM_SIMULATOR_H_
 #define VALIDITY_SIM_SIMULATOR_H_
@@ -361,7 +363,8 @@ class Simulator {
   /// Sends to every currently-alive neighbor of `from`. Point-to-point:
   /// one charged message per neighbor. Wireless: one charged transmission,
   /// every alive neighbor receives it. Either way the payload is stored
-  /// once; per-neighbor cost is one typed event.
+  /// once, and up to kMaxImplicitDegree on-time receivers share one queue
+  /// event.
   void SendToNeighbors(HostId from, Message msg);
 
   /// Point-to-point fan-out to an explicit target list (each a neighbor of
@@ -418,12 +421,14 @@ class Simulator {
   };
 
   /// Refcounted slab cell: one stored payload shared by every in-flight
-  /// delivery of a fan-out. Slots live in fixed-size chunks so addresses
-  /// stay stable while a delivery callback schedules further sends.
+  /// delivery of a fan-out, plus the receivers of the fan-out's
+  /// kDeliverBatch. Slots live in fixed-size chunks so addresses stay
+  /// stable while a delivery callback schedules further sends.
   struct MessageSlot {
     Message msg;
-    uint32_t refs = 0;
+    uint32_t refs = 0;  // pending kDeliver/kDeliverBatch events
     uint32_t next_free = 0;
+    HostId batch[topology::Topology::kMaxImplicitDegree];
   };
   static constexpr uint32_t kSlabChunkShift = 10;
   static constexpr uint32_t kSlabChunkSize = 1u << kSlabChunkShift;
@@ -444,21 +449,15 @@ class Simulator {
     if (--slot.refs == 0) ReleaseMessageSlot(index);
   }
 
-  /// Faulted delivery scheduling: consults DecideLinkFate and schedules
-  /// zero (drop), one, or two (duplicate) kDeliver events for `slot`,
-  /// adjusting slot.refs from its pre-charged one-ref-per-target baseline.
-  /// The caller holds a guard ref, so a drop can decrement refs mid-fan-out
-  /// without freeing the slot. Cold: only runs with a FaultSpec installed.
-  __attribute__((cold, noinline)) void FaultDeliver(SimTime arrive, HostId to,
-                                                    HostId from, uint32_t slot,
-                                                    uint32_t kind);
-
   /// The one send path: stores `msg` once and schedules a delivery to each
   /// target. A broadcast is one charged transmission every target hears
-  /// (wireless); otherwise each target is one charged message.
+  /// (wireless); otherwise each target is one charged message. With a
+  /// fault plane armed, each target's fate (drop, duplicate, delay) is
+  /// decided here. The on-time copies (one hop later) form one
+  /// kDeliverBatch when there are 2 to kMaxImplicitDegree of them; any
+  /// other copy is a kDeliver of its own.
   void Fanout(HostId from, Message msg, const HostId* targets,
               uint32_t count, bool broadcast);
-  void DeliverTo(HostId to, const Message& msg);
   void CheckEventBudget() const;
 
   /// One query lane: the program (null while muted) and the Metrics its
@@ -483,6 +482,8 @@ class Simulator {
     if (program_ == nullptr) ++unrouted_;
     return program_;
   }
+  /// One delivery of `msg` to `to`, on `lane` (null: off the lane table).
+  void DeliverTo(Lane* lane, HostId to, Message& msg);
   void Trace(TraceEventKind kind, HostId src, HostId dst, uint32_t mkind) {
     // Predicted-not-taken fast path: with no recorder attached this is one
     // well-predicted test against a cold branch.

@@ -21,6 +21,7 @@
 #include "protocols/wildfire.h"
 #include "sim/simulator.h"
 #include "topology/generators.h"
+#include "topology/topology.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -82,6 +83,41 @@ TEST(AllocFreeTest, WildfireFmSteadyStateSendsAreAllocationFree) {
       << "steady-state window carried too little traffic to be meaningful";
   EXPECT_EQ(allocs_after, allocs_before)
       << "steady-state sends touched the allocator";
+  EXPECT_EQ(wf.aggregate_bodies_allocated(), bodies_before)
+      << "the body pool grew past its warm-up high-water mark";
+}
+
+TEST(AllocFreeTest, WildfireFmWirelessGridSteadyStateSendsAreAllocationFree) {
+  // Every interior broadcast on the implicit Moore grid is one batched
+  // event for its 8 receivers: the batch lives in the message slot, so
+  // steady-state broadcasts stay off the allocator like point-to-point
+  // sends do.
+  topology::Topology grid = *topology::Topology::Grid(40);
+  std::vector<double> values(grid.num_hosts(), 1.0);
+  sim::SimOptions options;
+  options.medium = sim::MediumKind::kWireless;
+  sim::Simulator sim(grid, options);
+  WildfireProtocol wf(&sim, MakeContext(AggregateKind::kCount,
+                                        CombinerKind::kFmCount, &values, 40));
+  sim.AttachProgram(&wf);
+  wf.Start(820);  // the centre: every host is at most 20 hops away
+  // Warm-up: the broadcast wave activates the last corner at t = 20, which
+  // sizes the body pool, message slab and calendar. About 42,000 of the
+  // query's 76,000 transmissions come after it.
+  sim.RunUntil(20.5);
+  uint64_t sent_before = sim.metrics().messages_sent();
+  size_t bodies_before = wf.aggregate_bodies_allocated();
+  uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
+
+  sim.Run();
+
+  uint64_t allocs_after = g_allocations.load(std::memory_order_relaxed);
+  uint64_t sent_after = sim.metrics().messages_sent();
+  ASSERT_TRUE(wf.result().declared);
+  EXPECT_GT(sent_after, sent_before + 100)
+      << "steady-state window carried too little traffic to be meaningful";
+  EXPECT_EQ(allocs_after, allocs_before)
+      << "steady-state broadcasts touched the allocator";
   EXPECT_EQ(wf.aggregate_bodies_allocated(), bodies_before)
       << "the body pool grew past its warm-up high-water mark";
 }

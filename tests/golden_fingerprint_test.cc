@@ -10,9 +10,14 @@
 // passes them. This test catches it: a refactor that claims to keep results
 // bit-identical must leave every digest where it is.
 //
-// Re-recording the table is allowed only for a deliberate result change,
-// and that change must be named in CHANGES.md. On a mismatch the test
-// prints each failing case's label with its new digest, in table syntax.
+// A second table pins delivery order: for each of its cases, one digest
+// over the complete TraceRecorder stream (every send, delivery and drop with
+// its time) plus the simulator's executed-event count. A change to how the
+// simulator schedules or batches deliveries must leave both tables alone.
+//
+// Re-recording a table is allowed only for a deliberate result change, and
+// that change must be named in CHANGES.md. On a mismatch the test prints
+// each failing case's label with its new digest, in table syntax.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +25,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/experiment.h"
 #include "fingerprint_matrix.h"
+#include "sim/session.h"
+#include "sim/trace.h"
 #include "topology/generators.h"
 
 namespace validity::core {
@@ -184,16 +193,16 @@ std::vector<Observed> RunAllCases() {
   return out;
 }
 
-TEST(GoldenFingerprintTest, EveryCaseMatchesItsRecordedDigest) {
-  const std::vector<Observed> observed = RunAllCases();
-  ASSERT_EQ(observed.size(), 34u + 6u * 5u);
-  constexpr size_t kRecorded = sizeof(kGolden) / sizeof(kGolden[0]);
-  EXPECT_EQ(kRecorded, observed.size()) << "golden table size";
+// Compares `observed` with `table`, case by case, and prints every moved
+// case in table syntax.
+template <size_t N>
+void ExpectMatchesTable(const std::vector<Observed>& observed,
+                        const Golden (&table)[N]) {
+  EXPECT_EQ(N, observed.size()) << "golden table size";
   size_t mismatches = 0;
   for (size_t i = 0; i < observed.size(); ++i) {
     const Observed& o = observed[i];
-    if (i < kRecorded && o.label == kGolden[i].label &&
-        o.digest == kGolden[i].digest) {
+    if (i < N && o.label == table[i].label && o.digest == table[i].digest) {
       continue;
     }
     ++mismatches;
@@ -202,6 +211,141 @@ TEST(GoldenFingerprintTest, EveryCaseMatchesItsRecordedDigest) {
                 static_cast<unsigned long long>(o.digest));
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(GoldenFingerprintTest, EveryCaseMatchesItsRecordedDigest) {
+  const std::vector<Observed> observed = RunAllCases();
+  ASSERT_EQ(observed.size(), 34u + 6u * 5u);
+  ExpectMatchesTable(observed, kGolden);
+}
+
+// Recorded before deliveries of one fan-out were batched into one event.
+constexpr Golden kDeliveryOrder[] = {
+    {"grid/wildfire", 0x8b7ca06b66409d65ULL},
+    {"grid/wildfire-churn", 0x24bebe819975612fULL},
+    {"grid/dag-k3-churn", 0x60e64bfc554c05d2ULL},
+    {"gnutella/none/spanning-tree/count", 0x81464955661a831eULL},
+    {"gnutella/none/spanning-tree/sum", 0x81464955661a831eULL},
+    {"gnutella/none/dag-k2/count", 0x14b0407a51f075b4ULL},
+    {"gnutella/none/dag-k2/sum", 0x14b0407a51f075b4ULL},
+    {"gnutella/none/dag-k3/count", 0xf23fa01219ad1905ULL},
+    {"gnutella/none/dag-k3/sum", 0xf23fa01219ad1905ULL},
+    {"gnutella/none/wildfire/count", 0xf97c5d6b988e2609ULL},
+    {"gnutella/none/wildfire/sum", 0x986065e1b7b1925bULL},
+    {"gnutella/lossy/spanning-tree/count", 0x3af507500431a1a8ULL},
+    {"gnutella/lossy/spanning-tree/sum", 0x3af507500431a1a8ULL},
+    {"gnutella/lossy/dag-k2/count", 0x2380de19ba6b0ffeULL},
+    {"gnutella/lossy/dag-k2/sum", 0x2380de19ba6b0ffeULL},
+    {"gnutella/lossy/dag-k3/count", 0xe16f35d61b8e01e2ULL},
+    {"gnutella/lossy/dag-k3/sum", 0xe16f35d61b8e01e2ULL},
+    {"gnutella/lossy/wildfire/count", 0x952355cee582d971ULL},
+    {"gnutella/lossy/wildfire/sum", 0x51b3c35c6b731d66ULL},
+    {"gnutella/same-instant-dup/spanning-tree/count", 0xc2aae7f452d388e4ULL},
+    {"gnutella/same-instant-dup/spanning-tree/sum", 0xc2aae7f452d388e4ULL},
+    {"gnutella/same-instant-dup/dag-k2/count", 0x90e9a09a5ec0eed4ULL},
+    {"gnutella/same-instant-dup/dag-k2/sum", 0x90e9a09a5ec0eed4ULL},
+    {"gnutella/same-instant-dup/dag-k3/count", 0x47f5a97fd170082eULL},
+    {"gnutella/same-instant-dup/dag-k3/sum", 0x47f5a97fd170082eULL},
+    {"gnutella/same-instant-dup/wildfire/count", 0xe3ea9a5c12210e02ULL},
+    {"gnutella/same-instant-dup/wildfire/sum", 0xbb0754b5cebe842eULL},
+};
+
+/// Runs one query on a fresh session with a trace recorder attached and
+/// digests the trace stream and the executed-event count.
+uint64_t DeliveryOrderDigest(const QueryEngine& engine, const QuerySpec& spec,
+                             const RunConfig& config, HostId hq,
+                             const std::string& label) {
+  sim::SimulatorSession session(engine.topology(), config.sim_options);
+  sim::TraceRecorder trace(size_t{1} << 23);
+  session.simulator().AttachTrace(&trace);
+  auto result = engine.Run(&session, spec, config, hq);
+  EXPECT_TRUE(result.ok()) << label;
+  EXPECT_EQ(trace.overflowed(), 0u) << label;
+  Digest d;
+  for (const sim::TraceEvent& e : trace.events()) {
+    d.Add(static_cast<uint64_t>(e.kind));
+    d.Add(e.time);
+    d.Add(static_cast<uint64_t>(e.src));
+    d.Add(static_cast<uint64_t>(e.dst));
+    // The kind's upper bits carry the lane's instance tag, which counts
+    // protocol objects built earlier in the process; hash the local kind.
+    d.Add(static_cast<uint64_t>(e.message_kind & sim::kLocalKindMask));
+  }
+  d.Add(session.simulator().events_executed());
+  return d.value();
+}
+
+/// An 80x80 wireless grid with million-grid's D-hat of 10 (one broadcast
+/// per transmission) and the paper's
+/// four-protocol lineup on an 800-host Gnutella graph under churn, without
+/// faults, with drop/duplicate/delay faults, and with max_delay_hops = 0
+/// (every duplicate arrives at the original instant).
+std::vector<Observed> RunDeliveryOrderCases() {
+  std::vector<Observed> out;
+  {
+    constexpr uint32_t kSide = 80;
+    QueryEngine engine(*topology::Topology::Grid(kSide),
+                       MakeZipfValues(kSide * kSide, 91));
+    const HostId center = (kSide / 2) * kSide + kSide / 2;
+    auto grid = [&](const char* label, protocols::ProtocolKind kind,
+                    uint32_t removals, uint32_t max_parents) {
+      QuerySpec spec;
+      RunConfig config;
+      config.protocol = kind;
+      spec.d_hat = 10;
+      config.protocol_options.dag.max_parents = max_parents;
+      config.sim_options.medium = sim::MediumKind::kWireless;
+      config.churn_removals = removals;
+      const std::string full = std::string("grid/") + label;
+      out.push_back(
+          {full, DeliveryOrderDigest(engine, spec, config, center, full)});
+    };
+    grid("wildfire", protocols::ProtocolKind::kWildfire, 0, 1);
+    grid("wildfire-churn", protocols::ProtocolKind::kWildfire, 300, 1);
+    grid("dag-k3-churn", protocols::ProtocolKind::kDag, 300, 3);
+  }
+  topology::Graph graph = *topology::MakeGnutellaLike(800, 91);
+  QueryEngine engine(&graph, MakeZipfValues(800, 91));
+  sim::FaultSpec lossy;
+  lossy.seed = 21;
+  lossy.drop_rate = 0.1;
+  lossy.duplicate_rate = 0.15;
+  lossy.delay_rate = 0.2;
+  lossy.max_delay_hops = 2;
+  sim::FaultSpec same_instant;
+  same_instant.seed = 22;
+  same_instant.drop_rate = 0.05;
+  same_instant.duplicate_rate = 0.25;
+  same_instant.max_delay_hops = 0;
+  const std::pair<const char*, sim::FaultSpec> faults[] = {
+      {"none", sim::FaultSpec{}},
+      {"lossy", lossy},
+      {"same-instant-dup", same_instant}};
+  for (const auto& [fault_label, fault] : faults) {
+    for (const ProtocolSpec& p : StandardLineup()) {
+      for (AggregateKind agg : {AggregateKind::kCount, AggregateKind::kSum}) {
+        QuerySpec spec;
+        spec.aggregate = agg;
+        RunConfig config;
+        config.protocol = p.kind;
+        config.protocol_options = p.options;
+        config.churn_removals = 40;
+        config.fault = fault;
+        const std::string label =
+            std::string("gnutella/") + fault_label + "/" + p.label +
+            (agg == AggregateKind::kCount ? "/count" : "/sum");
+        out.push_back(
+            {label, DeliveryOrderDigest(engine, spec, config, 0, label)});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GoldenFingerprintTest, DeliveryOrderMatchesItsRecordedDigest) {
+  const std::vector<Observed> observed = RunDeliveryOrderCases();
+  ASSERT_EQ(observed.size(), 3u + 3u * 4u * 2u);
+  ExpectMatchesTable(observed, kDeliveryOrder);
 }
 
 // The digest sees every compared field: changing any one moves it.

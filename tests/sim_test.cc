@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/churn.h"
 #include "sim/event_queue.h"
+#include "sim/fault.h"
+#include "sim/message.h"
 #include "sim/simulator.h"
 #include "topology/generators.h"
+#include "topology/topology.h"
 
 namespace validity::sim {
 namespace {
@@ -183,6 +187,86 @@ TEST(SimulatorTest, SendDirectReachesNonNeighbors) {
   ASSERT_EQ(prog.deliveries.size(), 1u);
   EXPECT_EQ(prog.deliveries[0].self, 0u);
   EXPECT_EQ(sim.metrics().messages_sent(), 1u);
+}
+
+// ------------------------------------------------------ Batched fan-out
+
+TEST(SimulatorBatchTest, BroadcastToEightGridNeighborsCountsEightEvents) {
+  // The centre of a 3x3 Moore grid has 8 neighbors: one transmission, one
+  // batched queue event, and still one executed event per delivery.
+  SimOptions opts;
+  opts.medium = MediumKind::kWireless;
+  Simulator sim(*topology::Topology::Grid(3), opts);
+  RecordingProgram prog;
+  prog.now_fn = [&] { return sim.Now(); };
+  sim.AttachProgram(&prog);
+  sim.SendToNeighbors(4, Msg(1));
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), 8u);
+  EXPECT_EQ(sim.metrics().messages_sent(), 1u);
+  EXPECT_EQ(sim.metrics().messages_delivered(), 8u);
+  const NeighborSpan nbrs = sim.NeighborsOf(4);
+  ASSERT_EQ(prog.deliveries.size(), 8u);
+  for (uint32_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(prog.deliveries[i].self, nbrs[i]);
+    EXPECT_EQ(prog.deliveries[i].src, 4u);
+    EXPECT_DOUBLE_EQ(prog.deliveries[i].at, 1.0);
+  }
+}
+
+TEST(SimulatorBatchTest, FanoutBeyondTheBatchCapDeliversInSendOrder) {
+  // 12 targets exceed the 8-receiver batch: every copy is its own event.
+  topology::Graph g = *topology::MakeStar(13);
+  Simulator sim(g, SimOptions{});
+  RecordingProgram prog;
+  sim.AttachProgram(&prog);
+  sim.SendToNeighbors(0, Msg(1));
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), 12u);
+  ASSERT_EQ(prog.deliveries.size(), 12u);
+  for (uint32_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(prog.deliveries[i].self, g.Neighbors(0)[i]);
+  }
+}
+
+struct CountedBody : MessageBody {
+  size_t SizeBytes() const override { return 8; }
+  static int live;
+  CountedBody() { ++live; }
+  ~CountedBody() override { --live; }
+};
+int CountedBody::live = 0;
+
+TEST(SimulatorBatchTest, ResetReleasesPendingBatchesAndTheirBodies) {
+  // Pending batches and fault-delayed individual copies all reference
+  // pooled bodies. The pool handle goes
+  // first, so its core frees the bodies only once Reset() has dropped
+  // every slot reference: no body may survive it. Debug builds also check
+  // that every slot's refcount reached zero.
+  SimOptions opts;
+  opts.medium = MediumKind::kWireless;
+  Simulator sim(*topology::Topology::Grid(5), opts);
+  FaultSpec faults;
+  faults.seed = 3;
+  faults.duplicate_rate = 0.5;
+  faults.delay_rate = 0.3;
+  faults.max_delay_hops = 2;
+  sim.InstallFaults(&faults);
+  auto pool = std::make_unique<BodyPool<CountedBody>>();
+  for (HostId h : {6u, 12u, 18u}) {
+    Message msg = Msg(1);
+    msg.body = BodyRef(pool->Acquire());
+    sim.SendToNeighbors(h, msg);
+  }
+  pool.reset();
+  EXPECT_EQ(CountedBody::live, 3);
+  sim.Reset();
+  EXPECT_EQ(CountedBody::live, 0);
+
+  // The recycled slots batch again.
+  sim.SendToNeighbors(12, Msg(2));
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), 8u);
 }
 
 // -------------------------------------------------------------- Failures
