@@ -28,8 +28,16 @@ if [[ -n "${BENCH_FILTER:-}" ]]; then
   OUT="$ROOT/BENCH_micro.filtered.json"
 fi
 
+# Provenance: the binary records its build type and sketch kernel; the
+# commit it was built from rides in as context.
+GIT_SHA="$(git -C "$ROOT" rev-parse HEAD 2>/dev/null || echo unknown)"
+if [[ -n "$(git -C "$ROOT" status --porcelain -- src bench 2>/dev/null)" ]]; then
+  GIT_SHA="$GIT_SHA+dirty"
+fi
+
 "$BUILD_DIR/micro_benchmarks" \
   ${BENCH_FILTER:+--benchmark_filter="$BENCH_FILTER"} \
+  --benchmark_context=git_sha="$GIT_SHA" \
   --benchmark_format=json \
   --benchmark_out="$OUT" \
   --benchmark_out_format=json

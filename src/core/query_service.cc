@@ -80,7 +80,7 @@ void QueryService::ArmTimeline() {
   // scheduled.
   sim.set_failure_detection(failure_detection_);
   sim.set_max_events(options_.max_events);
-  if (internal::ShouldInstallLinkFaults(options_.fault)) {
+  if (options_.fault.HasLinkFaults()) {
     sim.InstallFaults(&options_.fault);
   }
   internal::ScheduleConfiguredChurn(*engine_, &sim, options_, churn_d_hat_,

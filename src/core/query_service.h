@@ -40,9 +40,9 @@
 //  - The network dynamics are properties of the *timeline*, not of a query:
 //    churn schedule and fault plane come from ServiceOptions, are armed
 //    once, and every submitted config must agree with them. Protocol
-//    instance ids are process-global and never reused, so traffic of a
-//    retired lane, a cancelled lane, or an earlier epoch is dropped instead
-//    of reaching a live lane.
+//    instance ids are never reused on a simulator (Reset() included), so
+//    traffic of a retired lane, a cancelled lane, or an earlier epoch is
+//    dropped instead of reaching a live lane.
 //
 // Sessions are single-threaded, and so is a service. For sweep-style
 // service benchmarks across worker threads, give each worker its own

@@ -47,13 +47,15 @@ Status PlanRun(const QueryEngine& engine, const QuerySpec& spec,
   plan->ctx.values = &engine.values();
 
   plan->protocol_options = config.protocol_options;
+  if (config.protocol != protocols::ProtocolKind::kRandomizedReport) {
+    return Status::Ok();
+  }
   protocols::RandomizedReportOptions& randomized =
       plan->protocol_options.randomized;
-  if (config.protocol == protocols::ProtocolKind::kRandomizedReport &&
-      randomized.p_override == 0.0 && randomized.n_estimate <= 1.0) {
+  if (randomized.p_override == 0.0 && randomized.n_estimate <= 1.0) {
     randomized.n_estimate = static_cast<double>(num_hosts);
   }
-  return Status::Ok();
+  return randomized.Validate();
 }
 
 QueryResult HarvestResult(const QueryEngine& engine,

@@ -92,12 +92,6 @@ inline sim::HostProgram* MaybeInterpose(protocols::ProtocolKind kind,
   return rig->interposer.get();
 }
 
-/// Link faults install when any rate is live (or a bench explicitly asks
-/// for the installed-but-idle path).
-inline bool ShouldInstallLinkFaults(const sim::FaultSpec& fault) {
-  return fault.HasLinkFaults() || fault.install_idle;
-}
-
 }  // namespace validity::core::internal
 
 #endif  // VALIDITY_CORE_RUN_INTERNAL_H_

@@ -5,11 +5,10 @@
 
 #include <memory>
 
-#include "protocols/all_report.h"
+#include "protocols/flood_report.h"
 #include "protocols/gossip.h"
 #include "protocols/level_convergecast.h"
 #include "protocols/protocol.h"
-#include "protocols/randomized_report.h"
 #include "protocols/wildfire.h"
 
 namespace validity::protocols {

@@ -1,32 +1,11 @@
-#include "protocols/protocol.h"
+// ProtocolBase draws its instance id from the simulator it runs on
+// (Simulator::NextInstanceId): ids differ among that simulator's instances.
 
-#include <atomic>
+#include "protocols/protocol.h"
 
 namespace validity::protocols {
 
 namespace {
-// Instance ids are process-global so that two simulators in one test cannot
-// alias. Atomic because the parallel sweep driver constructs protocols from
-// concurrent QueryEngine::Run calls; the id's value never influences
-// results (it only tags timers/messages within the protocol's own
-// simulator), so relaxed ordering suffices.
-std::atomic<uint32_t> g_next_instance_id{1};
-
-// A message kind is 32 bits with kInstanceTagShift reserved for the local
-// kind, so an id must fit in 24 bits or MakeKind would silently truncate it
-// (every message dropped while the 64-bit timer path still matches — a
-// query that "succeeds" with only hq's value). Session reuse burns one id
-// per query, so long-lived processes can exhaust 2^24; wrap instead of
-// truncating. Wrapping cannot alias: ids only need to differ across
-// *coexisting* instances and recent in-flight traffic, and a session reset
-// drains the queue long before 16M intervening queries.
-constexpr uint32_t kInstanceIdLimit =
-    (1u << (32 - sim::kInstanceTagShift)) - 1;
-
-uint32_t NextInstanceId() {
-  uint32_t raw = g_next_instance_id.fetch_add(1, std::memory_order_relaxed);
-  return 1 + (raw - 1) % kInstanceIdLimit;
-}
 
 void CheckContext(const sim::Simulator& sim, const QueryContext& ctx) {
   VALIDITY_CHECK(ctx.values != nullptr, "QueryContext.values is required");
@@ -35,12 +14,14 @@ void CheckContext(const sim::Simulator& sim, const QueryContext& ctx) {
   VALIDITY_CHECK(ctx.d_hat >= 1.0, "d_hat must be >= 1 hop");
   VALIDITY_CHECK(ctx.fm.Validate().ok(), "bad FM params");
 }
+
 }  // namespace
 
 ProtocolBase::ProtocolBase(sim::Simulator* sim, QueryContext ctx)
-    : sim_(sim), ctx_(std::move(ctx)), instance_id_(NextInstanceId()) {
+    : sim_(sim), ctx_(std::move(ctx)) {
   VALIDITY_CHECK(sim_ != nullptr);
   CheckContext(*sim_, ctx_);
+  instance_id_ = sim_->NextInstanceId();
 }
 
 void ProtocolBase::ResetForQuery(QueryContext ctx) {
@@ -49,7 +30,7 @@ void ProtocolBase::ResetForQuery(QueryContext ctx) {
   hq_ = kInvalidHost;
   start_time_ = 0;
   result_ = ProtocolRunResult();
-  instance_id_ = NextInstanceId();
+  instance_id_ = sim_->NextInstanceId();
   OnReset();
 }
 

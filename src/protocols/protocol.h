@@ -4,8 +4,8 @@
 // protocol instances can run over the lifetime of one simulator (the
 // continuous-query executor swaps instances per window); to keep stale
 // in-flight messages from a previous instance out of a new one, every
-// instance owns a unique id that is packed into the upper bits of
-// Message::kind and checked on receipt.
+// instance owns an id, unique on its simulator, that is packed into the
+// upper bits of Message::kind and checked on receipt.
 
 #ifndef VALIDITY_PROTOCOLS_PROTOCOL_H_
 #define VALIDITY_PROTOCOLS_PROTOCOL_H_
@@ -174,7 +174,7 @@ class ProtocolBase : public sim::HostProgram {
   HostId hq_ = kInvalidHost;
   SimTime start_time_ = 0;
   ProtocolRunResult result_;
-  uint32_t instance_id_;
+  uint32_t instance_id_ = 0;
 };
 
 /// Message body carrying a partial aggregate (convergecast payload).

@@ -1,6 +1,6 @@
-// Conventional (duplicate-sensitive) partial aggregate used by the
-// best-effort SPANNINGTREE baseline: each host's contribution is added
-// exactly once along its unique tree path, so plain +/min/max suffice.
+// Conventional (duplicate-sensitive) partial aggregate: SPANNINGTREE adds
+// each host's contribution exactly once along its unique tree path, and
+// ALLREPORT / RANDOMIZEDREPORT once per report, so plain +/min/max suffice.
 // One fixed-size record answers all five query kinds.
 
 #ifndef VALIDITY_PROTOCOLS_SCALAR_PARTIAL_H_

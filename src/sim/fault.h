@@ -17,7 +17,7 @@
 //    breaks exactly that contract: a concurrent lane's extra traffic would
 //    advance the counter and change a solo query's fates. Likewise hashing
 //    the protocol instance id would break fresh == session-reused, since
-//    instance ids are process-global. The cost of statelessness is that
+//    a reused session's simulator keeps counting ids. The cost of statelessness is that
 //    messages sharing (link, instant, channel) share a fate — correlated
 //    momentary link conditions, which is the model we document.)
 //
@@ -89,13 +89,6 @@ struct FaultSpec {
   /// kInflate: phantom contributions merged per corrupted message
   /// (0 = one per network host, which roughly doubles a count).
   uint32_t inflate_phantoms = 0;
-
-  /// Testing/benchmarks: hand the fault plane to the simulator even when
-  /// every rate is zero, to measure the installed-but-idle path against the
-  /// absent path (BM_WildfireCountQueryFaultIdle). An idle spec never arms
-  /// the per-delivery fate machinery (Simulator::InstallFaults), so the two
-  /// paths must benchmark identically — this knob guards that claim.
-  bool install_idle = false;
 
   bool HasLinkFaults() const {
     return drop_rate > 0 || duplicate_rate > 0 || delay_rate > 0;

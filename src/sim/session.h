@@ -4,7 +4,7 @@
 // Building a Simulator is O(network): CSR adjacency, liveness tables, and
 // per-host metrics all scale with num_hosts. Protocol-side cost has been
 // disc-proportional since the state was paged, so on million-host graphs
-// the O(n) build dominates every query (BM_MillionHostActivation). A
+// the O(n) build dominates every query on a graph-backed topology. A
 // session amortizes it: the graph-derived structures are built once, and
 // everything mutable per run — pending events, message slab references,
 // liveness flags flipped by churn, hosts joined at runtime, metrics —
@@ -15,7 +15,7 @@
 // the epoch counters inside PagedStates (common/paged_state.h): a protocol
 // re-armed with ResetForQuery keeps its warm pages and body pools, and the
 // second query on a cached 10^6-host session costs ≈disc time instead of
-// the ≈0.1 s rebuild (BM_MillionHostSecondQuery).
+// the ≈0.1 s rebuild (perfbench's million-grid workload runs exactly this).
 //
 // A session is the timeline every query runs on. The query layer
 // (core/query_service.h) opens one simulator lane per query — message

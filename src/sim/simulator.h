@@ -226,8 +226,9 @@ class Simulator {
 
   /// Restores the simulator to its just-constructed state — every base host
   /// alive at time 0, empty event queue, zeroed metrics, no attached
-  /// program or open lane — in time proportional to what previous runs touched (failed
-  /// hosts, joined hosts, pending events, hosts that processed messages),
+  /// program or open lane, the instance-id counter aside (NextInstanceId) —
+  /// in time proportional to what previous runs touched (failed hosts,
+  /// joined hosts, pending events, hosts that processed messages),
   /// not the network size: liveness and metrics pages rewind by epoch
   /// counter (common/paged_state.h), pending events drain through a dirty
   /// walk, and runtime joins truncate away. Graph-derived structures (the
@@ -350,8 +351,7 @@ class Simulator {
   /// coordinates. `spec` must outlive the attachment; pass nullptr to
   /// remove. Cleared by Reset(). With no spec installed — or a spec whose
   /// link rates are all zero, which cannot change any delivery's fate — the
-  /// send paths pay one predicted-not-taken test and nothing else
-  /// (BM_WildfireCountQueryFaultIdle vs BM_WildfireCountQuery pins this).
+  /// send paths pay one predicted-not-taken test and nothing else.
   void InstallFaults(const FaultSpec* spec);
   const FaultSpec* faults() const { return fault_; }
 
@@ -389,6 +389,15 @@ class Simulator {
   uint64_t events_executed() const { return queue_.executed(); }
 
   // --- lanes -------------------------------------------------------------
+
+  /// A fresh protocol instance id (the tag above kInstanceTagShift) for a
+  /// program on this simulator. Ids count from 1 per simulator, so a query's
+  /// trace does not depend on other simulators, and Reset() does not rewind
+  /// them, so an earlier epoch's traffic never carries a live lane's tag.
+  /// The counter wraps at the tag's 24 bits rather than truncate.
+  uint32_t NextInstanceId() {
+    return last_instance_id_ = last_instance_id_ % kMaxInstanceId + 1;
+  }
 
   /// Opens a query lane at Now(): messages and timers tagged with
   /// `instance_id` (the bits above kInstanceTagShift) are dispatched to
@@ -530,6 +539,9 @@ class Simulator {
   uint32_t base_hosts_ = 0;
   uint32_t num_hosts_ = 0;
   uint32_t dead_count_ = 0;
+  uint32_t last_instance_id_ = 0;
+  static constexpr uint32_t kMaxInstanceId =
+      (1u << (32 - kInstanceTagShift)) - 1;
   /// Open lanes in opening order, and the Metrics of closed ones kept for
   /// reuse: a timeline settles on one Metrics per concurrent lane.
   std::vector<Lane> lanes_;

@@ -1,13 +1,14 @@
-// ALLREPORT / RANDOMIZEDREPORT tests: the Theorem 4.3 construction
-// (direct delivery always satisfies SSV), reverse-path relaying, and the
-// §4.3 sampling estimator.
+// Tests of the flood-and-report core (protocols/flood_report.h) under both
+// of its policies: ALLREPORT's Theorem 4.3 construction (direct delivery
+// always satisfies SSV) and reverse-path relaying, RANDOMIZEDREPORT's §4.3
+// sampling estimator, and the pin that sampling at p = 1 is direct
+// ALLREPORT.
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "protocols/all_report.h"
+#include "protocols/flood_report.h"
 #include "protocols/oracle.h"
-#include "protocols/randomized_report.h"
 #include "sim/churn.h"
 #include "topology/generators.h"
 
@@ -175,6 +176,59 @@ TEST(RandomizedReportTest, RejectsNonCountAggregates) {
             RandomizedReportOptions{});
       },
       "count");
+}
+
+TEST(FloodReportTest, SampledAtPOneIsDirectAllReport) {
+  // At p = 1 every host's coin lands heads, so RANDOMIZEDREPORT floods and
+  // reports exactly like direct ALL-REPORT: the same value, the same
+  // declaration time and the same message count. Only the wire sizes
+  // differ: the sampled broadcast carries p (12 bytes instead of 4) and
+  // its report drops the origin (8 bytes instead of 12).
+  topology::Graph g = *topology::MakeGnutellaLike(400, 31);
+  std::vector<double> values = core::MakeZipfValues(400, 31);
+  constexpr double kDHat = 14;
+  Rng churn_rng(31);
+  const std::vector<sim::ChurnEvent> churn =
+      sim::MakeUniformChurn(400, 0, 60, 0.0, 2 * kDHat, &churn_rng);
+  for (AggregateKind agg : {AggregateKind::kCount, AggregateKind::kSum}) {
+    SCOPED_TRACE(AggregateKindName(agg));
+    sim::Simulator all_sim(g, sim::SimOptions{});
+    sim::ScheduleChurn(&all_sim, churn);
+    AllReportProtocol all(&all_sim, MakeContext(agg, &values, kDHat),
+                          AllReportOptions{ReportRouting::kDirect});
+    all_sim.AttachProgram(&all);
+    all.Start(0);
+    all_sim.Run();
+
+    sim::Simulator sampled_sim(g, sim::SimOptions{});
+    sim::ScheduleChurn(&sampled_sim, churn);
+    RandomizedReportOptions opts;
+    opts.p_override = 1.0;
+    RandomizedReportProtocol sampled(
+        &sampled_sim, MakeContext(agg, &values, kDHat), opts);
+    sampled_sim.AttachProgram(&sampled);
+    sampled.Start(0);
+    sampled_sim.Run();
+
+    ASSERT_TRUE(all.result().declared);
+    ASSERT_TRUE(sampled.result().declared);
+    EXPECT_EQ(sampled.result().value, all.result().value);
+    EXPECT_EQ(sampled.result().declared_at, all.result().declared_at);
+    EXPECT_EQ(sampled_sim.metrics().messages_sent(),
+              all_sim.metrics().messages_sent());
+    EXPECT_EQ(sampled.reports_collected(), all.reports_collected());
+    // Every message costs a 16-byte header plus its payload. ALL-REPORT's
+    // traffic is B 4-byte broadcasts plus R 12-byte reports; solve for B
+    // and R, then price the same traffic at 12 and 8 payload bytes.
+    const uint64_t messages = all_sim.metrics().messages_sent();
+    const uint64_t all_bytes = all_sim.metrics().bytes_sent();
+    ASSERT_EQ((all_bytes - 20 * messages) % 8, 0u);
+    const uint64_t reports = (all_bytes - 20 * messages) / 8;
+    const uint64_t broadcasts = messages - reports;
+    ASSERT_GT(reports, 100u);
+    EXPECT_EQ(sampled_sim.metrics().bytes_sent(),
+              all_bytes + 8 * broadcasts - 4 * reports);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/engine.h"
 #include "core/experiment.h"
+#include "core/query_service.h"
+#include "sim/session.h"
 #include "topology/generators.h"
 
 namespace validity::core {
@@ -103,6 +108,41 @@ TEST_F(EngineTest, ErrorPaths) {
   spec.aggregate = AggregateKind::kMin;
   EXPECT_EQ(engine_.Run(spec, config, 0).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(EngineTest, EveryEntryPointRejectsBadRandomizedOptionsByName) {
+  // Bad sampling options used to pass admission and then abort inside the
+  // protocol; every entry point must return InvalidArgument naming the
+  // field instead.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Bad {
+    const char* field;
+    double epsilon, zeta, n_estimate;
+  };
+  const Bad cases[] = {{"epsilon", 0.0, 0.05, 1000},
+                       {"epsilon", nan, 0.05, 1000},
+                       {"zeta", 0.1, nan, 1000},
+                       {"n_estimate", 0.1, 0.05, nan}};
+  for (const Bad& bad : cases) {
+    RunConfig config;
+    config.protocol = protocols::ProtocolKind::kRandomizedReport;
+    config.protocol_options.randomized.epsilon = bad.epsilon;
+    config.protocol_options.randomized.zeta = bad.zeta;
+    config.protocol_options.randomized.n_estimate = bad.n_estimate;
+    const std::string field = bad.field;
+    auto expect_rejected = [field](const Status& status, const char* path) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << path;
+      EXPECT_NE(status.message().find(field), std::string::npos)
+          << path << ": " << status.message();
+    };
+    expect_rejected(engine_.Run(QuerySpec{}, config, 0).status(), "fresh");
+    sim::SimulatorSession session(&graph_, sim::SimOptions{});
+    expect_rejected(engine_.Run(&session, QuerySpec{}, config, 0).status(),
+                    "session");
+    QueryService service(&engine_, ServiceOptionsFor(QuerySpec{}, config, 0));
+    expect_rejected(service.Submit(0.0, QuerySpec{}, config, 0).status(),
+                    "service");
+  }
 }
 
 TEST_F(EngineTest, ChurnShrinksOracleLowerBound) {

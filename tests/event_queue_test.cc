@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "protocols/flood_report.h"
 #include "protocols/wildfire.h"
 #include "sim/churn.h"
 #include "sim/event_queue.h"
@@ -179,13 +180,9 @@ void RunTracedWildfire(TraceRecorder* trace, double* declared_value) {
   *declared_value = wf.result().value;
 }
 
-TEST(DeterminismTest, IdenticalWildfireRunsProduceIdenticalTraces) {
-  TraceRecorder first(1 << 22);
-  TraceRecorder second(1 << 22);
-  double v1 = 0, v2 = 0;
-  RunTracedWildfire(&first, &v1);
-  RunTracedWildfire(&second, &v2);
-  EXPECT_DOUBLE_EQ(v1, v2);
+/// Event-for-event equality, message kinds unmasked: the upper bits carry
+/// the protocol instance id, which each simulator counts from 1.
+void ExpectSameTrace(const TraceRecorder& first, const TraceRecorder& second) {
   ASSERT_EQ(first.events().size(), second.events().size());
   ASSERT_GT(first.events().size(), 0u);
   for (size_t i = 0; i < first.events().size(); ++i) {
@@ -195,11 +192,42 @@ TEST(DeterminismTest, IdenticalWildfireRunsProduceIdenticalTraces) {
     ASSERT_EQ(a.time, b.time) << "event " << i;
     ASSERT_EQ(a.src, b.src) << "event " << i;
     ASSERT_EQ(a.dst, b.dst) << "event " << i;
-    // The upper bits of message_kind carry the process-global protocol
-    // instance id (fresh per run by design); the protocol-local kind must
-    // match exactly.
-    ASSERT_EQ(a.message_kind & 0xffu, b.message_kind & 0xffu) << "event " << i;
+    ASSERT_EQ(a.message_kind, b.message_kind) << "event " << i;
   }
+}
+
+TEST(DeterminismTest, IdenticalWildfireRunsProduceIdenticalTraces) {
+  TraceRecorder first(1 << 22);
+  TraceRecorder second(1 << 22);
+  double v1 = 0, v2 = 0;
+  RunTracedWildfire(&first, &v1);
+  RunTracedWildfire(&second, &v2);
+  EXPECT_DOUBLE_EQ(v1, v2);
+  ExpectSameTrace(first, second);
+}
+
+TEST(DeterminismTest, InstanceIdsDoNotDependOnOtherSimulators) {
+  // Protocols built on an unrelated simulator between the two runs draw
+  // their ids from that simulator, so the second run's traffic carries the
+  // same instance tag as the first's.
+  TraceRecorder first(1 << 22);
+  TraceRecorder second(1 << 22);
+  double v1 = 0, v2 = 0;
+  RunTracedWildfire(&first, &v1);
+  {
+    topology::Graph g = *topology::MakeChain(4);
+    std::vector<double> values(4, 1.0);
+    Simulator other(g, SimOptions{});
+    protocols::QueryContext ctx;
+    ctx.values = &values;
+    protocols::WildfireProtocol a(&other, ctx);
+    protocols::AllReportProtocol b(&other, ctx);
+    b.ResetForQuery(ctx, protocols::AllReportOptions{});
+    EXPECT_NE(a.instance_id(), b.instance_id());
+  }
+  RunTracedWildfire(&second, &v2);
+  EXPECT_DOUBLE_EQ(v1, v2);
+  ExpectSameTrace(first, second);
 }
 
 }  // namespace

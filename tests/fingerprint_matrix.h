@@ -210,7 +210,7 @@ inline QueryResult ReferenceRun(const QueryEngine& engine,
   sim::SimOptions options = config.sim_options;
   options.failure_detection = plan.failure_detection;
   sim::Simulator simulator(engine.topology(), options);
-  if (internal::ShouldInstallLinkFaults(config.fault)) {
+  if (config.fault.HasLinkFaults()) {
     simulator.InstallFaults(&config.fault);
   }
   internal::ScheduleConfiguredChurn(engine, &simulator, config, plan.d_hat,

@@ -250,18 +250,19 @@ constexpr Golden kDeliveryOrder[] = {
     {"gnutella/same-instant-dup/wildfire/sum", 0xbb0754b5cebe842eULL},
 };
 
-/// Runs one query on a fresh session with a trace recorder attached and
-/// digests the trace stream and the executed-event count.
-uint64_t DeliveryOrderDigest(const QueryEngine& engine, const QuerySpec& spec,
-                             const RunConfig& config, HostId hq,
-                             const std::string& label) {
+/// Runs one query on a fresh session with a trace recorder attached, folds
+/// the trace stream and the executed-event count into `d`, and returns the
+/// query's result.
+QueryResult RunTraced(const QueryEngine& engine, const QuerySpec& spec,
+                      const RunConfig& config, HostId hq,
+                      const std::string& label, Digest* d_out) {
   sim::SimulatorSession session(engine.topology(), config.sim_options);
   sim::TraceRecorder trace(size_t{1} << 23);
   session.simulator().AttachTrace(&trace);
   auto result = engine.Run(&session, spec, config, hq);
   EXPECT_TRUE(result.ok()) << label;
   EXPECT_EQ(trace.overflowed(), 0u) << label;
-  Digest d;
+  Digest& d = *d_out;
   for (const sim::TraceEvent& e : trace.events()) {
     d.Add(static_cast<uint64_t>(e.kind));
     d.Add(e.time);
@@ -272,6 +273,15 @@ uint64_t DeliveryOrderDigest(const QueryEngine& engine, const QuerySpec& spec,
     d.Add(static_cast<uint64_t>(e.message_kind & sim::kLocalKindMask));
   }
   d.Add(session.simulator().events_executed());
+  return result.ok() ? *result : QueryResult();
+}
+
+/// Digest of one query's trace stream and executed-event count.
+uint64_t DeliveryOrderDigest(const QueryEngine& engine, const QuerySpec& spec,
+                             const RunConfig& config, HostId hq,
+                             const std::string& label) {
+  Digest d;
+  RunTraced(engine, spec, config, hq, label, &d);
   return d.value();
 }
 
@@ -346,6 +356,122 @@ TEST(GoldenFingerprintTest, DeliveryOrderMatchesItsRecordedDigest) {
   const std::vector<Observed> observed = RunDeliveryOrderCases();
   ASSERT_EQ(observed.size(), 3u + 3u * 4u * 2u);
   ExpectMatchesTable(observed, kDeliveryOrder);
+}
+
+// Recorded before ALL-REPORT and RANDOMIZEDREPORT were merged into one
+// flood-and-report core.
+constexpr Golden kReportFamily[] = {
+    {"report/none/ar-direct/count", 0x288f79f1a17ced9fULL},
+    {"report/none/ar-direct/sum", 0x879af4bc66277d26ULL},
+    {"report/none/ar-reverse/count", 0x402b9db46df895d6ULL},
+    {"report/none/ar-reverse/sum", 0xad3041bcd1f1563dULL},
+    {"report/none/rr-derived/count", 0x51591ecb8d404614ULL},
+    {"report/none/rr-derived/sum", 0xf0c46500bfe8e19fULL},
+    {"report/none/rr-p0.25/count", 0xe6d8342b5c158d05ULL},
+    {"report/none/rr-p0.25/sum", 0x5451ca5e0e38ad9dULL},
+    {"report/lossy/ar-direct/count", 0x6968e4337956759bULL},
+    {"report/lossy/ar-direct/sum", 0x1fa5e8fb9859cf3fULL},
+    {"report/lossy/ar-reverse/count", 0x7cf30129b8b4b93bULL},
+    {"report/lossy/ar-reverse/sum", 0x7f1a1b19b00d2f73ULL},
+    {"report/lossy/rr-derived/count", 0x7e40bee05096884cULL},
+    {"report/lossy/rr-derived/sum", 0x248f5687481a8078ULL},
+    {"report/lossy/rr-p0.25/count", 0x1a607e828aa3e3a2ULL},
+    {"report/lossy/rr-p0.25/sum", 0xa836f855bae60b43ULL},
+    {"report/byz-inflate/ar-direct/count", 0x288f79f1a17ced9fULL},
+    {"report/byz-inflate/ar-direct/sum", 0x879af4bc66277d26ULL},
+    {"report/byz-inflate/ar-reverse/count", 0x402b9db46df895d6ULL},
+    {"report/byz-inflate/ar-reverse/sum", 0xad3041bcd1f1563dULL},
+    {"report/byz-inflate/rr-derived/count", 0x51591ecb8d404614ULL},
+    {"report/byz-inflate/rr-derived/sum", 0xf0c46500bfe8e19fULL},
+    {"report/byz-inflate/rr-p0.25/count", 0xe6d8342b5c158d05ULL},
+    {"report/byz-inflate/rr-p0.25/sum", 0x5451ca5e0e38ad9dULL},
+    {"report/byz-deaden/ar-direct/count", 0x8dacb36a0719349bULL},
+    {"report/byz-deaden/ar-direct/sum", 0x97de8c408cca3f38ULL},
+    {"report/byz-deaden/ar-reverse/count", 0xdf2678de99f4e07aULL},
+    {"report/byz-deaden/ar-reverse/sum", 0xf0457b935f01a42aULL},
+    {"report/byz-deaden/rr-derived/count", 0x382fc0baa21cacb7ULL},
+    {"report/byz-deaden/rr-derived/sum", 0xb0477936735eb44fULL},
+    {"report/byz-deaden/rr-p0.25/count", 0x97018dfd9ff1bf6fULL},
+    {"report/byz-deaden/rr-p0.25/sum", 0x9f379bb5014767cdULL},
+    {"report/byz-stale/ar-direct/count", 0x288f79f1a17ced9fULL},
+    {"report/byz-stale/ar-direct/sum", 0x879af4bc66277d26ULL},
+    {"report/byz-stale/ar-reverse/count", 0x402b9db46df895d6ULL},
+    {"report/byz-stale/ar-reverse/sum", 0x293e63af3e17f8d0ULL},
+    {"report/byz-stale/rr-derived/count", 0x51591ecb8d404614ULL},
+    {"report/byz-stale/rr-derived/sum", 0xf0c46500bfe8e19fULL},
+    {"report/byz-stale/rr-p0.25/count", 0xe6d8342b5c158d05ULL},
+    {"report/byz-stale/rr-p0.25/sum", 0x5451ca5e0e38ad9dULL},
+};
+
+/// ALL-REPORT (direct and reverse-path) and RANDOMIZEDREPORT (derived p and
+/// p_override = 0.25), COUNT and SUM, on a 400-host Gnutella graph with 40
+/// churn removals, without faults, under drop/duplicate/delay link faults,
+/// and with each byzantine mode. Each digest covers the result, the per-host
+/// record size (which the first table leaves out) and the trace stream.
+std::vector<Observed> RunReportFamilyCases() {
+  using protocols::ProtocolKind;
+  topology::Graph graph = *topology::MakeGnutellaLike(400, 91);
+  QueryEngine engine(&graph, MakeZipfValues(400, 91));
+  sim::FaultSpec lossy;
+  lossy.seed = 23;
+  lossy.drop_rate = 0.1;
+  lossy.duplicate_rate = 0.15;
+  lossy.delay_rate = 0.2;
+  lossy.max_delay_hops = 2;
+  std::vector<std::pair<const char*, sim::FaultSpec>> faults = {
+      {"none", sim::FaultSpec{}}, {"lossy", lossy}};
+  for (const auto& [label, fault] : FaultMatrix()) {
+    if (fault.HasByzantine() && !fault.HasLinkFaults()) {
+      faults.emplace_back(label, fault);
+    }
+  }
+  struct Variant {
+    const char* label;
+    ProtocolKind kind;
+    protocols::ProtocolOptions options;
+  };
+  std::vector<Variant> variants(4);
+  variants[0] = {"ar-direct", ProtocolKind::kAllReport, {}};
+  variants[1] = {"ar-reverse", ProtocolKind::kAllReport, {}};
+  variants[1].options.all_report.routing =
+      protocols::ReportRouting::kReversePath;
+  // n_estimate = 0: the engine sizes p for the 400 hosts (p ~ 0.41).
+  variants[2] = {"rr-derived", ProtocolKind::kRandomizedReport, {}};
+  variants[2].options.randomized.epsilon = 0.3;
+  variants[2].options.randomized.n_estimate = 0;
+  variants[3] = {"rr-p0.25", ProtocolKind::kRandomizedReport, {}};
+  variants[3].options.randomized.p_override = 0.25;
+
+  std::vector<Observed> out;
+  for (const auto& [fault_label, fault] : faults) {
+    for (const Variant& v : variants) {
+      for (AggregateKind agg : {AggregateKind::kCount, AggregateKind::kSum}) {
+        QuerySpec spec;
+        spec.aggregate = agg;
+        RunConfig config;
+        config.protocol = v.kind;
+        config.protocol_options = v.options;
+        config.churn_removals = 40;
+        config.fault = fault;
+        const std::string label =
+            std::string("report/") + fault_label + "/" + v.label +
+            (agg == AggregateKind::kCount ? "/count" : "/sum");
+        Digest d;
+        const QueryResult result =
+            RunTraced(engine, spec, config, 0, label, &d);
+        d.Add(DigestOf(result));
+        d.Add(static_cast<uint64_t>(result.resident_state_bytes));
+        out.push_back({label, d.value()});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GoldenFingerprintTest, ReportFamilyMatchesItsRecordedDigest) {
+  const std::vector<Observed> observed = RunReportFamilyCases();
+  ASSERT_EQ(observed.size(), 5u * 4u * 2u);
+  ExpectMatchesTable(observed, kReportFamily);
 }
 
 // The digest sees every compared field: changing any one moves it.

@@ -13,7 +13,7 @@ Pass --strict to turn regressions into a non-zero exit, e.g. on a dedicated
 perf runner.
 
 Thread-scaling benchmarks ("threads:N" in the name, e.g.
-BM_ChurnSweep/threads:4) are only comparable when both machines can actually
+BM_Sweep/threads:4) are only comparable when both machines can actually
 run N workers: a baseline recorded on a 1-core VM serializes every thread
 count, so its threads:4 number would flag a healthy multicore run (or mask a
 real regression). Entries whose N exceeds the *smaller* of the two runs'
