@@ -1,7 +1,6 @@
 #include "protocols/oracle.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "common/logging.h"
@@ -66,27 +65,29 @@ OracleReport ComputeOracle(const sim::Simulator& sim, HostId hq,
   OracleReport report;
 
   // HU: alive at some instant of the interval.
+  report.hu.reserve(sim.num_hosts());
   for (HostId h = 0; h < sim.num_hosts(); ++h) {
     if (sim.AliveSometimeIn(h, t_begin, t_end)) report.hu.push_back(h);
   }
 
-  // HC: BFS from hq through hosts alive throughout the interval.
-  std::vector<uint8_t> visited(sim.num_hosts(), 0);
-  std::deque<HostId> frontier;
-  visited[hq] = 1;
-  frontier.push_back(hq);
-  while (!frontier.empty()) {
-    HostId u = frontier.front();
-    frontier.pop_front();
-    report.hc.push_back(u);
-    for (HostId v : sim.NeighborsOf(u)) {
-      if (!visited[v] && sim.AliveThroughout(v, t_begin, t_end)) {
-        visited[v] = 1;
-        frontier.push_back(v);
+  // HC: BFS from hq through hosts alive throughout the interval, with
+  // report.hc itself as the queue; then rebuilt in id order from the marks,
+  // which also serve as the SUM/AVERAGE membership test below.
+  std::vector<uint8_t> in_hc(sim.num_hosts(), 0);
+  in_hc[hq] = 1;
+  report.hc.push_back(hq);
+  for (size_t next = 0; next < report.hc.size(); ++next) {
+    for (HostId v : sim.NeighborsOf(report.hc[next])) {
+      if (!in_hc[v] && sim.AliveThroughout(v, t_begin, t_end)) {
+        in_hc[v] = 1;
+        report.hc.push_back(v);
       }
     }
   }
-  std::sort(report.hc.begin(), report.hc.end());
+  report.hc.clear();
+  for (HostId h = 0; h < sim.num_hosts(); ++h) {
+    if (in_hc[h]) report.hc.push_back(h);
+  }
 
   // Numeric interval by aggregate kind.
   switch (kind) {
@@ -104,8 +105,6 @@ OracleReport ComputeOracle(const sim::Simulator& sim, HostId hq,
         lo += values[h];
         hi += values[h];
       }
-      std::vector<uint8_t> in_hc(sim.num_hosts(), 0);
-      for (HostId h : report.hc) in_hc[h] = 1;
       for (HostId h : report.hu) {
         if (in_hc[h]) continue;
         if (values[h] < 0.0) {
@@ -137,13 +136,9 @@ OracleReport ComputeOracle(const sim::Simulator& sim, HostId hq,
       break;
     }
     case AggregateKind::kAverage: {
-      std::vector<uint8_t> in_hc(sim.num_hosts(), 0);
       std::vector<double> mandatory;
       mandatory.reserve(report.hc.size());
-      for (HostId h : report.hc) {
-        in_hc[h] = 1;
-        mandatory.push_back(values[h]);
-      }
+      for (HostId h : report.hc) mandatory.push_back(values[h]);
       std::vector<double> optional_values;
       for (HostId h : report.hu) {
         if (!in_hc[h]) optional_values.push_back(values[h]);

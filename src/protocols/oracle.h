@@ -16,8 +16,8 @@
 // simulator ground truth and sends no messages.
 //
 // Cost note: the oracle is inherently O(network) — HU ranges over every
-// host by definition, and the stable-subgraph BFS allocates dense
-// visited/membership arrays. It is the one deliberately-dense pass left in
+// host by definition, and the stable-subgraph BFS allocates a dense
+// visited array. It is the one deliberately-dense pass left in
 // the query path, gated by RunConfig::compute_validity so disc-bounded
 // million-host runs never pay it (docs/ARCHITECTURE.md, memory model).
 

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -15,6 +18,7 @@
 #include "common/status.h"
 #include "common/table.h"
 #include "common/zipf.h"
+#include "core/engine.h"
 
 namespace validity {
 namespace {
@@ -234,6 +238,89 @@ TEST(ZipfTest, EmpiricalMeanMatchesAnalyticMean) {
   for (int64_t v : values) mean += static_cast<double>(v);
   mean /= static_cast<double>(values.size());
   EXPECT_NEAR(mean, zipf->Mean(), zipf->Mean() * 0.05);
+}
+
+// The binary-search sampler the guide table replaced: the first CDF entry
+// above u, clamped to the last. It is the reference for ValueAt.
+int64_t UpperBoundValueAt(const ZipfGenerator& zipf, double u) {
+  const std::vector<double>& cdf = zipf.cdf();
+  auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+  if (it == cdf.end()) --it;
+  return zipf.low() + static_cast<int64_t>(it - cdf.begin());
+}
+
+TEST(ZipfTest, GuideTableEqualsBinarySearchForEveryU) {
+  struct Shape {
+    int64_t low;
+    int64_t high;
+    double theta;
+  };
+  const Shape shapes[] = {{10, 500, 1.0}, {10, 500, 0.0}, {10, 500, 2.0},
+                          {7, 7, 1.0},    {3, 4, 1.0},    {0, 9999, 1.0}};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(::testing::Message() << "[" << shape.low << ", "
+                                      << shape.high << "] theta "
+                                      << shape.theta);
+    auto zipf = ZipfGenerator::Make(shape.low, shape.high, shape.theta);
+    ASSERT_TRUE(zipf.ok());
+    ASSERT_EQ(zipf->cdf().size(),
+              static_cast<size_t>(shape.high - shape.low + 1));
+    ASSERT_EQ(zipf->cdf().back(), 1.0);
+    // Every CDF step and the doubles on both sides of it, where a guide
+    // entry and the binary search are likeliest to disagree.
+    size_t mismatches = 0;
+    for (double c : zipf->cdf()) {
+      for (double u : {std::nextafter(c, 0.0), c, std::nextafter(c, 2.0)}) {
+        if (zipf->ValueAt(u) != UpperBoundValueAt(*zipf, u)) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "at the CDF steps";
+    // And 10^6 draws of the generator's own stream, including u = 0.
+    EXPECT_EQ(zipf->ValueAt(0.0), UpperBoundValueAt(*zipf, 0.0));
+    Rng rng(0x21bf);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const double u = rng.NextDouble();
+      if (zipf->ValueAt(u) != UpperBoundValueAt(*zipf, u)) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "on random u";
+  }
+}
+
+TEST(ZipfTest, SampleDrawsOneDoubleAndInvertsIt) {
+  auto zipf = ZipfGenerator::Make(10, 500, 1.0);
+  ASSERT_TRUE(zipf.ok());
+  Rng sampled(9);
+  Rng direct(9);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(zipf->Sample(&sampled),
+              UpperBoundValueAt(*zipf, direct.NextDouble()));
+  }
+}
+
+TEST(ZipfTest, RejectsARangeTooWideToTabulate) {
+  EXPECT_FALSE(ZipfGenerator::Make(0, int64_t{1} << 30, 1.0).ok());
+  EXPECT_FALSE(ZipfGenerator::Make(INT64_MIN, INT64_MAX, 1.0).ok());
+}
+
+// FNV-1a over the values' bit patterns.
+uint64_t Fnv1a(const std::vector<double>& values) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (double v : values) {
+    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+TEST(ZipfTest, PaperWorkloadValuesMatchTheirRecordedDigests) {
+  // Recorded with the binary-search sampler: the guide table must give
+  // every host the same value, at the paper-churn and million-grid sizes.
+  EXPECT_EQ(Fnv1a(core::MakeZipfValues(2000, 43)), 0xed812115125859a7ull);
+  EXPECT_EQ(Fnv1a(core::MakeZipfValues(1'000'000, 43)),
+            0x8111f34e3d6b2db7ull);
 }
 
 // ---------------------------------------------------------------- Stats

@@ -37,6 +37,7 @@
 #include "core/engine.h"
 #include "core/query_service.h"
 #include "fingerprint_matrix.h"
+#include "protocols/flood_report.h"
 #include "sim/session.h"
 #include "topology/generators.h"
 #include "topology/topology.h"
@@ -66,6 +67,8 @@ struct FuzzCase {
   RunConfig config;
   HostId hq = 0;
   SimTime start_at = 0.0;
+  // RANDOMIZEDREPORT drawn with options that give p < 1.
+  bool sampled_report = false;
 };
 
 const char* ProtocolName(ProtocolKind kind) {
@@ -174,6 +177,15 @@ FuzzCase DrawCase(uint64_t seed) {
     c.spec.aggregate = pick(0, 1) == 0 ? AggregateKind::kCount
                                        : AggregateKind::kSum;
   }
+  // Half the RANDOMIZEDREPORT cases sample: eps 0.3 (as in the golden
+  // report-family table) and n_estimate 4n give p = 41 / n, at most 0.64.
+  // The defaults give p = 1, where every host reports.
+  if (c.config.protocol == ProtocolKind::kRandomizedReport &&
+      pick(0, 1) == 1) {
+    c.sampled_report = true;
+    c.config.protocol_options.randomized.epsilon = 0.3;
+    c.config.protocol_options.randomized.n_estimate = 4.0 * c.num_hosts;
+  }
   if (c.config.protocol == ProtocolKind::kGossip) {
     c.spec.exact_combiners = false;
     c.config.protocol_options.gossip.rounds = pick(8, 16);
@@ -231,8 +243,12 @@ std::string DescribeCase(const FuzzCase& c, uint64_t seed, uint64_t index) {
       << " protocol=" << ProtocolName(c.config.protocol)
       << " aggregate=" << AggregateName(c.spec.aggregate)
       << (c.spec.exact_combiners ? " exact" : " fm")
-      << " fm_vectors=" << c.spec.fm_vectors
-      << "\n  sketch_seed=" << c.config.sketch_seed << " hq=" << c.hq
+      << " fm_vectors=" << c.spec.fm_vectors;
+  if (c.config.protocol == ProtocolKind::kRandomizedReport) {
+    out << " rr_epsilon=" << c.config.protocol_options.randomized.epsilon
+        << " rr_n_estimate=" << c.config.protocol_options.randomized.n_estimate;
+  }
+  out << "\n  sketch_seed=" << c.config.sketch_seed << " hq=" << c.hq
       << " start_at=" << c.start_at
       << " medium=" << (c.config.sim_options.medium ==
                         sim::MediumKind::kWireless ? "wireless" : "p2p")
@@ -250,18 +266,36 @@ std::string DescribeCase(const FuzzCase& c, uint64_t seed, uint64_t index) {
   return out.str();
 }
 
+// The report probability a RANDOMIZEDREPORT case runs with, from a protocol
+// built from the case's plan exactly as every entry point builds it.
+double ReportProbability(const QueryEngine& engine, const FuzzCase& c) {
+  internal::RunPlan plan;
+  const Status status =
+      internal::PlanRun(engine, c.spec, c.config, c.hq, &plan);
+  EXPECT_TRUE(status.ok()) << status.message();
+  sim::Simulator simulator(engine.topology(), c.config.sim_options);
+  protocols::RandomizedReportProtocol protocol(
+      &simulator, plan.ctx, plan.protocol_options.randomized);
+  return protocol.report_probability();
+}
+
 TEST(FingerprintFuzzTest, FourColumnsAgreeAcrossRandomCases) {
   const uint64_t base_seed = EnvOr("VALIDITY_FUZZ_SEED", 0x5eed4002);
   const uint64_t num_cases =
       EnvOr("VALIDITY_FUZZ_CASES", VALIDITY_FUZZ_DEFAULT_CASES);
   const uint64_t only_case = EnvOr("VALIDITY_FUZZ_CASE", ~0ull);
 
+  uint64_t sampled_reports = 0;
   for (uint64_t i = 0; i < num_cases; ++i) {
     if (only_case != ~0ull && i != only_case) continue;
     const uint64_t case_seed = base_seed + 0xF1F2F3F5ull * i;
     FuzzCase c = DrawCase(case_seed);
     SCOPED_TRACE(DescribeCase(c, case_seed, i));
     QueryEngine& engine = *c.engine;
+    if (c.sampled_report) {
+      ++sampled_reports;
+      EXPECT_LT(ReportProbability(engine, c), 1.0);
+    }
 
     QueryEngine::ConcurrentQuery q;
     q.spec = c.spec;
@@ -306,6 +340,10 @@ TEST(FingerprintFuzzTest, FourColumnsAgreeAcrossRandomCases) {
     ExpectIdentical(fresh, done.result, "fresh-vs-service");
     EXPECT_EQ(service.session().simulator().unrouted_events(), 0u)
         << "service";
+  }
+  // About one case in twelve; the default 200 cases must include some.
+  if (only_case == ~0ull && num_cases >= 200) {
+    EXPECT_GT(sampled_reports, 0u);
   }
 }
 

@@ -4,9 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <limits>
+
+#include "common/rng.h"
 #include "protocols/oracle.h"
 #include "sim/simulator.h"
 #include "topology/generators.h"
+#include "topology/topology.h"
 
 namespace validity::protocols {
 namespace {
@@ -169,6 +177,222 @@ TEST(OracleTest, AverageBoundsContainTruthUnderChurn) {
   EXPECT_LE(r.q_low, hu_avg);
   EXPECT_GE(r.q_high, hu_avg);
   EXPECT_LT(r.q_low, r.q_high);
+}
+
+// ------------------------------------------- equivalence with the deque+sort
+// ORACLE
+
+// ComputeOracle as it was before the BFS reused report.hc as its queue and
+// the id-order rebuild replaced std::sort: a deque frontier, a sorted hc and
+// separate in_hc marks. ComputeOracle must reproduce it exactly.
+OracleReport ReferenceOracle(const sim::Simulator& sim, HostId hq,
+                             SimTime t_begin, SimTime t_end,
+                             AggregateKind kind,
+                             const std::vector<double>& values) {
+  OracleReport report;
+  for (HostId h = 0; h < sim.num_hosts(); ++h) {
+    if (sim.AliveSometimeIn(h, t_begin, t_end)) report.hu.push_back(h);
+  }
+  std::vector<uint8_t> visited(sim.num_hosts(), 0);
+  std::deque<HostId> frontier;
+  visited[hq] = 1;
+  frontier.push_back(hq);
+  while (!frontier.empty()) {
+    HostId u = frontier.front();
+    frontier.pop_front();
+    report.hc.push_back(u);
+    for (HostId v : sim.NeighborsOf(u)) {
+      if (!visited[v] && sim.AliveThroughout(v, t_begin, t_end)) {
+        visited[v] = 1;
+        frontier.push_back(v);
+      }
+    }
+  }
+  std::sort(report.hc.begin(), report.hc.end());
+  switch (kind) {
+    case AggregateKind::kCount:
+      report.q_low = static_cast<double>(report.hc.size());
+      report.q_high = static_cast<double>(report.hu.size());
+      break;
+    case AggregateKind::kSum: {
+      double lo = 0.0;
+      double hi = 0.0;
+      for (HostId h : report.hc) {
+        lo += values[h];
+        hi += values[h];
+      }
+      std::vector<uint8_t> in_hc(sim.num_hosts(), 0);
+      for (HostId h : report.hc) in_hc[h] = 1;
+      for (HostId h : report.hu) {
+        if (in_hc[h]) continue;
+        if (values[h] < 0.0) {
+          lo += values[h];
+        } else {
+          hi += values[h];
+        }
+      }
+      report.q_low = lo;
+      report.q_high = hi;
+      break;
+    }
+    case AggregateKind::kMin: {
+      double over_hu = std::numeric_limits<double>::infinity();
+      for (HostId h : report.hu) over_hu = std::min(over_hu, values[h]);
+      double over_hc = std::numeric_limits<double>::infinity();
+      for (HostId h : report.hc) over_hc = std::min(over_hc, values[h]);
+      report.q_low = over_hu;
+      report.q_high = over_hc;
+      break;
+    }
+    case AggregateKind::kMax: {
+      double over_hu = -std::numeric_limits<double>::infinity();
+      for (HostId h : report.hu) over_hu = std::max(over_hu, values[h]);
+      double over_hc = -std::numeric_limits<double>::infinity();
+      for (HostId h : report.hc) over_hc = std::max(over_hc, values[h]);
+      report.q_low = over_hc;
+      report.q_high = over_hu;
+      break;
+    }
+    case AggregateKind::kAverage: {
+      std::vector<uint8_t> in_hc(sim.num_hosts(), 0);
+      std::vector<double> mandatory;
+      mandatory.reserve(report.hc.size());
+      for (HostId h : report.hc) {
+        in_hc[h] = 1;
+        mandatory.push_back(values[h]);
+      }
+      std::vector<double> optional_values;
+      for (HostId h : report.hu) {
+        if (!in_hc[h]) optional_values.push_back(values[h]);
+      }
+      AvgBounds bounds = ExtremeAverages(mandatory, std::move(optional_values));
+      report.q_low = bounds.low;
+      report.q_high = bounds.high;
+      break;
+    }
+  }
+  return report;
+}
+
+// The whole report, for every aggregate: host sets element for element and
+// the interval bit for bit.
+void ExpectMatchesReference(const sim::Simulator& sim, HostId hq,
+                            SimTime t_begin, SimTime t_end,
+                            const std::vector<double>& values) {
+  for (AggregateKind kind :
+       {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
+        AggregateKind::kMax, AggregateKind::kAverage}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "aggregate " << static_cast<int>(kind));
+    const OracleReport want =
+        ReferenceOracle(sim, hq, t_begin, t_end, kind, values);
+    const OracleReport got =
+        ComputeOracle(sim, hq, t_begin, t_end, kind, values);
+    EXPECT_EQ(got.hu, want.hu);
+    EXPECT_EQ(got.hc, want.hc);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.q_low),
+              std::bit_cast<uint64_t>(want.q_low));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.q_high),
+              std::bit_cast<uint64_t>(want.q_high));
+  }
+}
+
+// Values with a fractional part, so a changed summation order would show in
+// the last bits; `negative_share` of them below zero.
+std::vector<double> MixedValues(size_t n, uint64_t seed,
+                                double negative_share) {
+  Rng rng(seed);
+  std::vector<double> values(n);
+  for (double& v : values) {
+    v = 10.0 + 490.0 * rng.NextDouble();
+    if (rng.NextDouble() < negative_share) v = -v;
+  }
+  return values;
+}
+
+// Fails `count` distinct hosts other than hq at instants spread over
+// [t_min, t_max], so some fall before the interval, some in it, some after.
+void ScheduleRemovals(sim::Simulator* sim, HostId hq, uint32_t count,
+                      SimTime t_min, SimTime t_max, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> victims =
+      rng.SampleWithoutReplacement(sim->num_hosts(), count + 1);
+  uint32_t scheduled = 0;
+  for (uint32_t h : victims) {
+    if (h == hq || scheduled == count) continue;
+    sim->ScheduleFailure(t_min + (t_max - t_min) * rng.NextDouble(), h);
+    ++scheduled;
+  }
+}
+
+TEST(OracleEquivalenceTest, GnutellaUnderChurn) {
+  topology::Graph g = *topology::MakeGnutellaLike(800, 71);
+  sim::Simulator sim(g, sim::SimOptions{});
+  const HostId hq = 17;
+  ScheduleRemovals(&sim, hq, 40, 0.0, 40.0, 71);
+  sim.Run();
+  const std::vector<double> values = MixedValues(800, 71, 0.0);
+  ExpectMatchesReference(sim, hq, 10.0, 30.0, values);
+  ExpectMatchesReference(sim, hq, 0.0, 40.0, values);
+}
+
+TEST(OracleEquivalenceTest, RuntimeJoins) {
+  // Joiners get the highest ids but attach to low ones, so the BFS meets
+  // them out of id order; those joined before the interval can be in HC,
+  // those joined during it only in HU.
+  topology::Graph g = *topology::MakeGnutellaLike(300, 72);
+  sim::Simulator sim(g, sim::SimOptions{});
+  const HostId hq = 5;
+  for (SimTime at : {2.0, 3.0, 12.0, 15.0}) {
+    sim.ScheduleAt(at, [&sim, at] {
+      for (HostId anchor : {0u, 1u, 7u, 40u}) {
+        auto id = sim.AddHost({anchor, static_cast<HostId>(anchor + 100)});
+        ASSERT_TRUE(id.ok());
+        if (at > 10.0) {
+          ASSERT_TRUE(sim.AddHost({*id}).ok());
+        }
+      }
+    });
+  }
+  // After the last join, so every anchor is still alive to be joined.
+  ScheduleRemovals(&sim, hq, 20, 16.0, 25.0, 72);
+  sim.Run();
+  ASSERT_EQ(sim.num_hosts(), 300u + 8u + 16u);
+  const std::vector<double> values = MixedValues(sim.num_hosts(), 72, 0.0);
+  ExpectMatchesReference(sim, hq, 5.0, 20.0, values);
+}
+
+TEST(OracleEquivalenceTest, QueryingHostCutOff) {
+  // Every neighbour of hq fails inside the interval: HC = {hq}.
+  topology::Graph g = *topology::MakeRandom(200, 4.0, 73);
+  sim::Simulator sim(g, sim::SimOptions{});
+  const HostId hq = 3;
+  for (HostId v : sim.NeighborsOf(hq)) sim.ScheduleFailure(6.0, v);
+  sim.Run();
+  const std::vector<double> values = MixedValues(200, 73, 0.0);
+  ASSERT_EQ(ComputeOracle(sim, hq, 5.0, 20.0, AggregateKind::kCount, values)
+                .hc,
+            std::vector<HostId>{hq});
+  ExpectMatchesReference(sim, hq, 5.0, 20.0, values);
+}
+
+TEST(OracleEquivalenceTest, ImplicitGrid) {
+  auto grid = topology::Topology::Grid(60);
+  ASSERT_TRUE(grid.ok());
+  sim::Simulator sim(*grid, sim::SimOptions{});
+  const HostId hq = 60 * 30 + 30;
+  ScheduleRemovals(&sim, hq, 300, 0.0, 30.0, 74);
+  sim.Run();
+  ExpectMatchesReference(sim, hq, 5.0, 25.0, MixedValues(3600, 74, 0.0));
+}
+
+TEST(OracleEquivalenceTest, NegativeValues) {
+  topology::Graph g = *topology::MakeGnutellaLike(500, 75);
+  sim::Simulator sim(g, sim::SimOptions{});
+  const HostId hq = 0;
+  ScheduleRemovals(&sim, hq, 60, 0.0, 30.0, 75);
+  sim.Run();
+  ExpectMatchesReference(sim, hq, 5.0, 25.0, MixedValues(500, 75, 0.4));
 }
 
 }  // namespace
