@@ -12,8 +12,8 @@
 //
 // Every query runs the same way: as a lane on a QueryService timeline
 // (core/query_service.h), which validates it, opens its lane, retires the
-// lane at its quiescence bound, harvests the result, and parks the
-// protocol. The entry points here only choose the timeline: RunConcurrent
+// lane once the simulator sees it quiet (and its horizon has passed),
+// harvests the result, and parks the protocol. The entry points here only choose the timeline: RunConcurrent
 // is a closed batch on a borrowed session, Run(&session) a one-query batch,
 // and the fresh Run the same batch on a temporary session.
 

@@ -62,6 +62,7 @@ QueryService::QueryService(const QueryEngine* engine,
 QueryService::~QueryService() {
   ParkAll();
   session_->simulator().InstallFaults(nullptr);
+  session_->simulator().set_lane_quiet_hook(nullptr);
 }
 
 void QueryService::ArmTimeline() {
@@ -71,7 +72,6 @@ void QueryService::ArmTimeline() {
   VALIDITY_CHECK(options_.churn_removals == 0 ||
                      options_.churn_hq < sim.num_hosts(),
                  "churn-protected host out of range");
-  churn_d_hat_ = internal::ResolveDHat(*engine_, options_.churn_d_hat);
 
   // An open service keeps detection on: detect events are uncharged and
   // ignored by protocols that do not subscribe, so a lane whose direct run
@@ -83,8 +83,11 @@ void QueryService::ArmTimeline() {
   if (options_.fault.HasLinkFaults()) {
     sim.InstallFaults(&options_.fault);
   }
-  internal::ScheduleConfiguredChurn(*engine_, &sim, options_, churn_d_hat_,
+  internal::ScheduleConfiguredChurn(*engine_, &sim, options_, churn_d_hat(),
                                     options_.churn_hq);
+  sim.set_lane_quiet_hook([this](uint32_t instance_id) {
+    OnLaneQuiet(lane_queries_.at(instance_id));
+  });
 }
 
 Status QueryService::PlanLane(const QueryEngine& engine,
@@ -205,16 +208,36 @@ void QueryService::StartLane(QueryId id) {
           static_cast<protocols::ProtocolBase*>(parked.release())));
   // Byzantine interposition is per lane: each lane wraps its own protocol
   // (protecting its own hq, caching its own stale replays).
+  const uint32_t instance_id = q.protocol->instance_id();
   q.metrics = &sim.OpenLane(
-      q.protocol->instance_id(),
+      instance_id,
       internal::MaybeInterpose(config.protocol, config.fault,
                                q.plan.ctx.combiner, q.plan.ctx.fm,
                                sim.num_hosts(), q.protocol.get(),
-                               q.arrival.hq, &q.rig));
+                               q.arrival.hq, &q.rig),
+      q.plan.failure_detection);
+  lane_queries_[instance_id] = id;
   ++in_flight_;
   peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
   q.protocol->Start(q.arrival.hq);
-  sim.ScheduleAt(RetireTimeFor(q), [this, id] { OnRetire(id); });
+  // A start that queued nothing leaves no event to report the lane quiet.
+  if (sim.LaneQuiet(instance_id)) OnLaneQuiet(id);
+}
+
+void QueryService::OnLaneQuiet(QueryId id) {
+  QueryState& q = queries_.at(id);
+  if (q.retiring) return;
+  q.retiring = true;
+  // A running query's result reads liveness up to its horizon, so its lane
+  // stays until then; a cancelled lane has nothing to harvest. Retiring in
+  // a scheduled event keeps harvest and lane changes out of the dispatch
+  // that went quiet.
+  SimTime at = Now();
+  if (q.phase == Phase::kRunning) {
+    at = std::max(at, q.started_at + 2.0 * q.plan.d_hat *
+                                         session_->simulator().options().delta);
+  }
+  session_->simulator().ScheduleAt(at, [this, id] { OnRetire(id); });
 }
 
 void QueryService::OnRetire(QueryId id) {
@@ -224,6 +247,9 @@ void QueryService::OnRetire(QueryId id) {
   VALIDITY_DCHECK(!node.empty());
   QueryState& q = node.mapped();
   VALIDITY_DCHECK(in_flight_ > 0);
+  VALIDITY_DCHECK(session_->simulator().LaneQuiet(q.protocol->instance_id()),
+                  "query %llu retired with lane events queued",
+                  static_cast<unsigned long long>(id));
   --in_flight_;
   // A cancelled lane kept its slot (muted) until this instant, so
   // admission transitions stay on scheduled events; it has no result.
@@ -250,6 +276,7 @@ void QueryService::OnRetire(QueryId id) {
 }
 
 void QueryService::ParkLane(QueryState* q) {
+  lane_queries_.erase(q->protocol->instance_id());
   session_->simulator().CloseLane(q->protocol->instance_id());
   session_->ParkProgram(static_cast<uint32_t>(q->arrival.config.protocol),
                         std::move(q->protocol));
@@ -259,44 +286,6 @@ void QueryService::ParkAll() {
   for (auto& [id, q] : queries_) {
     if (q.protocol != nullptr) ParkLane(&q);
   }
-}
-
-SimTime QueryService::RetireTimeFor(const QueryState& q) const {
-  const SimTime started = q.started_at;
-  const sim::SimOptions& so = session_->simulator().options();
-  const double delta = so.delta;
-  const sim::FaultSpec& fault = options_.fault;
-  const bool delayed = fault.delay_rate > 0.0 || fault.duplicate_rate > 0.0;
-  const double hop =
-      delta * (1.0 + (delayed ? static_cast<double>(fault.max_delay_hops)
-                              : 0.0));
-  const double d_hat = q.plan.d_hat;
-  const double horizon = 2.0 * d_hat * delta;
-  // No protocol sends after its horizon; the last delivery lands within one
-  // (possibly fault-delayed) hop of it.
-  SimTime quiet = started + horizon + hop;
-  // Tree/DAG eager convergecast: a churn failure detected late (at
-  // t_fail + T_hb + delta) can trigger a report cascade of up to one hop
-  // per tree level.
-  if (q.plan.failure_detection && options_.churn_removals > 0) {
-    const SimTime churn_end =
-        options_.churn_end_frac * 2.0 * churn_d_hat_ * delta;
-    SimTime detect = churn_end + so.heartbeat_interval + delta;
-    quiet = std::max(quiet, std::max(started + horizon, detect) +
-                                (2.0 * d_hat + 2.0) * hop);
-  }
-  // Gossip's round ladder outlives the 2*D-hat horizon: hosts activated any
-  // time before it still run their full round count, and hq declares at
-  // start + (rounds + 2) * delta.
-  if (q.arrival.config.protocol == protocols::ProtocolKind::kGossip) {
-    const double rounds =
-        static_cast<double>(q.plan.protocol_options.gossip.rounds);
-    quiet = std::max(quiet, started + horizon + (rounds + 2.0) * delta + hop);
-  }
-  // Strict margin: the retirement event must execute after every event this
-  // lane can generate. A generous bound only delays lane recycling; it can
-  // never change a result.
-  return quiet + 2.0 * delta;
 }
 
 Status QueryService::Cancel(QueryId id) {
@@ -314,8 +303,8 @@ Status QueryService::Cancel(QueryId id) {
       queries_.erase(it);
       break;
     case Phase::kRunning:
-      // The lane mutes now (its in-flight traffic is dropped) and closes at
-      // the original retirement instant.
+      // The lane mutes now (its in-flight traffic is dropped) and closes
+      // once that traffic has drained.
       session_->simulator().MuteLane(q.protocol->instance_id());
       q.phase = Phase::kCancelled;
       break;

@@ -26,16 +26,15 @@
 //    so ties are deterministic too. Submissions at t=0 made before the
 //    timeline first advances start synchronously, ahead of every t=0 event.
 //
-//  - A lane retires at a conservative, protocol-aware *quiescence bound*
-//    computed from the query's plan (horizon 2*D-hat*delta, plus fault
-//    delay tails, the heartbeat-detection + eager-convergecast cascade for
-//    tree/DAG, and gossip's fixed round ladder). Until that instant the
-//    lane stays open, so every late delivery is routed and charged exactly
-//    as in a direct run. Harvesting at the bound is equivalent to
-//    harvesting at end-of-run: the oracle reads only liveness inside
-//    [start, start + horizon], which is fully executed by then. Traffic
-//    that outlives its lane is counted (Simulator::unrouted_events), so a
-//    bound that is too short shows up as a nonzero count.
+//  - A lane retires when the simulator observes it quiet: none of its
+//    deliveries or timers is queued, and, for a tree/DAG lane that hears
+//    neighbor failures, no failure or detection event is queued either
+//    (Simulator::LaneQuiet). Nothing can reach its program after that, so
+//    every late delivery has been routed and charged exactly as in a
+//    direct run. The retirement itself is a closure scheduled at
+//    max(quiet instant, start + 2*D-hat*delta): the oracle reads liveness
+//    inside [start, start + horizon], which is fully executed by then, so
+//    harvesting there equals harvesting at the end of a drained run.
 //
 //  - The network dynamics are properties of the *timeline*, not of a query:
 //    churn schedule and fault plane come from ServiceOptions, are armed
@@ -125,7 +124,8 @@ class QueryService {
     /// When the query was admitted to a lane (== submitted_at unless it
     /// waited in the deferred queue). The solo-equivalence anchor.
     SimTime started_at = 0.0;
-    /// When the lane retired (the quiescence bound, not declared_at).
+    /// When the lane retired: max(its last event, started_at + 2 * D-hat *
+    /// delta). Not declared_at.
     SimTime retired_at = 0.0;
     QueryResult result;
   };
@@ -157,12 +157,12 @@ class QueryService {
 
   /// Withdraws a query. Scheduled/deferred queries simply never start. A
   /// running query's lane is muted immediately — its in-flight traffic is
-  /// dropped from now on — but the lane closes and its slot frees at the
-  /// query's original retirement instant, keeping admission transitions on
-  /// scheduled events (deterministic). Cancellation is an external control
-  /// action: it is NOT recorded in the ArrivalTrace, so a replayed trace
-  /// reproduces submissions, not cancellations. NotFound if the id is
-  /// unknown or already completed.
+  /// dropped from now on — and the lane closes and its slot frees, in a
+  /// scheduled event (deterministic), once that traffic has drained. A lane
+  /// already quiet keeps its scheduled retirement. Cancellation is an
+  /// external control action: it is NOT recorded in the ArrivalTrace, so a
+  /// replayed trace reproduces submissions, not cancellations. NotFound if
+  /// the id is unknown or already completed.
   Status Cancel(QueryId id);
 
   /// Advances the shared timeline. Completions become pollable (and the
@@ -200,10 +200,12 @@ class QueryService {
   const ArrivalTrace& trace() const { return trace_; }
   sim::SimulatorSession& session() { return *session_; }
   /// The resolved churn D-hat (after the 0 = auto resolution).
-  double churn_d_hat() const { return churn_d_hat_; }
+  double churn_d_hat() const {
+    return internal::ResolveDHat(*engine_, options_.churn_d_hat);
+  }
 
   /// Lanes currently occupied (includes cancelled lanes until their
-  /// retirement instant frees the slot).
+  /// traffic drains).
   uint32_t in_flight() const { return in_flight_; }
   /// High-water mark of in_flight() — never exceeds max_in_flight.
   uint32_t peak_in_flight() const { return peak_in_flight_; }
@@ -227,6 +229,8 @@ class QueryService {
     internal::RunPlan plan;
     Phase phase = Phase::kScheduled;
     SimTime started_at = 0.0;
+    /// The lane went quiet and its retirement is scheduled.
+    bool retiring = false;
     // The lane, open from StartLane until ParkLane:
     std::unique_ptr<protocols::ProtocolBase> protocol;
     const sim::Metrics* metrics = nullptr;
@@ -254,30 +258,30 @@ class QueryService {
   /// plane, churn schedule.
   void ArmTimeline();
   void OnArrival(QueryId id);
-  /// Opens the query's lane and starts it; schedules its retirement.
+  /// Opens the query's lane and starts it.
   void StartLane(QueryId id);
-  /// At the quiescence bound: harvests a running query, closes its lane,
-  /// and admits deferred queries into the freed slot.
+  /// The simulator saw the query's lane go quiet: schedules its retirement.
+  void OnLaneQuiet(QueryId id);
+  /// Harvests a running query, closes its lane, and admits deferred
+  /// queries into the freed slot.
   void OnRetire(QueryId id);
   /// Closes the query's simulator lane and parks its protocol on the
   /// session for the next query of that kind.
   void ParkLane(QueryState* q);
   /// Closes every open lane; the teardown of the destructor and Reset().
   void ParkAll();
-  /// The deterministic quiescence bound: no event of this lane can execute
-  /// at or after the returned instant.
-  SimTime RetireTimeFor(const QueryState& q) const;
 
   const QueryEngine* engine_;
   std::unique_ptr<sim::SimulatorSession> owned_session_;
   sim::SimulatorSession* session_;
   ServiceOptions options_;
   bool failure_detection_ = true;
-  double churn_d_hat_ = 0.0;
 
   QueryId next_id_ = 1;
   /// Queries not yet completed or discarded, by id.
   std::map<QueryId, QueryState> queries_;
+  /// Running and cancelled queries by their lane's instance id.
+  std::map<uint32_t, QueryId> lane_queries_;
   std::deque<QueryId> deferred_;
   std::deque<Completion> completions_;
   std::function<void(const Completion&)> on_completion_;

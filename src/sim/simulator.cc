@@ -92,6 +92,8 @@ void Simulator::Reset() {
   metrics_.Reset(base_hosts_);
   for (Lane& lane : lanes_) spare_metrics_.push_back(std::move(lane.metrics));
   lanes_.clear();
+  pending_failures_ = 0;
+  lane_quiet_hook_ = nullptr;
   unrouted_ = 0;
   program_ = nullptr;
   fault_ = nullptr;
@@ -99,12 +101,14 @@ void Simulator::Reset() {
 }
 
 const Metrics& Simulator::OpenLane(uint32_t instance_id,
-                                   HostProgram* program) {
+                                   HostProgram* program,
+                                   bool hears_failures) {
   VALIDITY_DCHECK(program != nullptr && FindLane(instance_id) == nullptr);
   if (spare_metrics_.empty()) {
     spare_metrics_.push_back(std::make_unique<Metrics>(num_hosts_));
   }
-  lanes_.push_back(Lane{instance_id, program, std::move(spare_metrics_.back())});
+  lanes_.push_back(Lane{instance_id, 0, hears_failures, program,
+                         std::move(spare_metrics_.back())});
   spare_metrics_.pop_back();
   lanes_.back().metrics->Reset(num_hosts_, Now());
   return *lanes_.back().metrics;
@@ -122,6 +126,23 @@ void Simulator::CloseLane(uint32_t instance_id) {
   spare_metrics_.push_back(std::move(lane->metrics));
   // Erase, not swap-remove: failure callbacks visit lanes in opening order.
   lanes_.erase(lanes_.begin() + (lane - lanes_.data()));
+}
+
+
+bool Simulator::LaneQuiet(uint32_t instance_id) {
+  const Lane* lane = FindLane(instance_id);
+  VALIDITY_DCHECK(lane != nullptr);
+  return lane->pending == 0 &&
+         (!lane->hears_failures || pending_failures_ == 0);
+}
+
+void Simulator::SettleFailure() {
+  VALIDITY_DCHECK(pending_failures_ > 0, "failure event count underflow");
+  if (--pending_failures_ != 0) return;
+  // The last failure event has run: lanes that waited only on it are quiet.
+  for (const Lane& lane : lanes_) {
+    if (lane.hears_failures && lane.pending == 0) MaybeQuiet(lane);
+  }
 }
 
 size_t Simulator::ResidentTableBytes() const {
@@ -166,29 +187,34 @@ void Simulator::DispatchEvent(const Event& event) {
         }
       }
       DropSlotRef(event.slot);
+      Settle(lane);
       break;
     }
     case EventTag::kTimer: {
-      HostProgram* program =
-          ProgramFor(FindLane(event.payload >> kInstanceTagShift));
+      Lane* lane = FindLane(event.payload >> kInstanceTagShift);
+      HostProgram* program = ProgramFor(lane);
       if (IsAlive(event.a) && program != nullptr) {
         program->OnTimer(event.a, event.payload);
       }
+      Settle(lane);
       break;
     }
     case EventTag::kFailHost:
       FailHost(event.a);
+      SettleFailure();
       break;
     case EventTag::kNeighborDetect:
       // Failure detection belongs to the shared network, not to one query:
       // every live program hears it. Callbacks never open or close lanes.
-      if (!IsAlive(event.a)) break;
-      if (program_ != nullptr) program_->OnNeighborFailure(event.a, event.b);
-      for (const Lane& lane : lanes_) {
-        if (lane.program != nullptr) {
-          lane.program->OnNeighborFailure(event.a, event.b);
+      if (IsAlive(event.a)) {
+        if (program_ != nullptr) program_->OnNeighborFailure(event.a, event.b);
+        for (const Lane& lane : lanes_) {
+          if (lane.program != nullptr) {
+            lane.program->OnNeighborFailure(event.a, event.b);
+          }
         }
       }
+      SettleFailure();
       break;
     case EventTag::kGeneric:
       VALIDITY_CHECK(false, "generic events run inside the queue");
@@ -290,12 +316,14 @@ void Simulator::FailHost(HostId h) {
     for (HostId nb : NeighborsOf(h)) {
       if (!IsAlive(nb)) continue;
       queue_.ScheduleTyped(detect_at, EventTag::kNeighborDetect, nb, h, 0, 0);
+      ++pending_failures_;
     }
   }
 }
 
 void Simulator::ScheduleFailure(SimTime t, HostId h) {
   queue_.ScheduleTyped(t, EventTag::kFailHost, h, kInvalidHost, 0, 0);
+  ++pending_failures_;
 }
 
 StatusOr<HostId> Simulator::AddHost(const std::vector<HostId>& neighbors) {
@@ -430,7 +458,11 @@ void Simulator::Fanout(HostId from, Message msg, const HostId* targets,
     queue_.ScheduleTyped(arrive, EventTag::kDeliverBatch, on_time, from, index,
                          0);
   }
-  if (slot.refs == 0) ReleaseMessageSlot(index);  // every copy dropped
+  if (slot.refs == 0) {
+    ReleaseMessageSlot(index);  // every copy dropped
+  } else if (lane != nullptr) {
+    lane->pending += slot.refs;  // one ref per queued event
+  }
 }
 
 void Simulator::InstallFaults(const FaultSpec* spec) {
@@ -443,6 +475,7 @@ void Simulator::InstallFaults(const FaultSpec* spec) {
 }
 
 void Simulator::ScheduleTimer(HostId h, SimTime t, uint64_t timer_id) {
+  if (Lane* lane = FindLane(timer_id >> kInstanceTagShift)) ++lane->pending;
   queue_.ScheduleTyped(t, EventTag::kTimer, h, kInvalidHost, 0, timer_id);
 }
 

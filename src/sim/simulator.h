@@ -405,15 +405,33 @@ class Simulator {
   /// now; neighbor-failure callbacks reach every open lane. This is how
   /// many queries share one timeline, each with its own §6.3 cost report.
   /// `program` must outlive the lane; the Metrics stays valid until the lane
-  /// closes (CloseLane or Reset()).
-  const Metrics& OpenLane(uint32_t instance_id, HostProgram* program);
+  /// closes (CloseLane or Reset()). A lane whose program reacts to
+  /// neighbor failures (`hears_failures`) is quiet only while no failure or
+  /// detection event is pending either (see set_lane_quiet_hook).
+  const Metrics& OpenLane(uint32_t instance_id, HostProgram* program,
+                          bool hears_failures = false);
   /// Stops the lane's callbacks but keeps its slot: its late traffic is
-  /// dropped without counting as unrouted (a cancelled query).
+  /// dropped without counting as unrouted (a cancelled query), and it still
+  /// goes quiet once that traffic has drained.
   void MuteLane(uint32_t instance_id);
+  /// Closes a lane. Close a quiet lane (LaneQuiet): events still queued
+  /// for a closed lane reach no program and count as unrouted, which only a
+  /// teardown followed by Reset() may leave behind.
   void CloseLane(uint32_t instance_id);
+  /// True once nothing pending can reach the lane's program again: none of
+  /// its deliveries or timers is queued, and, if it hears failures, no
+  /// kFailHost or kNeighborDetect event is queued either.
+  bool LaneQuiet(uint32_t instance_id);
+  /// Called with the lane's instance id, from inside the event whose
+  /// dispatch made an open lane quiet (LaneQuiet). The hook must not open
+  /// or close lanes itself; schedule that instead. Null (the default, and
+  /// after Reset()) calls nothing.
+  void set_lane_quiet_hook(std::function<void(uint32_t)> hook) {
+    lane_quiet_hook_ = std::move(hook);
+  }
   /// Tagged deliveries and timers since Reset() that found neither an open
-  /// lane nor an attached program. On a lane timeline every one of them
-  /// outlived its lane's quiescence bound.
+  /// lane nor an attached program. A lane closes only when quiet, so on a
+  /// lane timeline this stays 0; tests assert it.
   uint64_t unrouted_events() const { return unrouted_; }
 
   /// Optional event tracing; pass nullptr to detach. The recorder must
@@ -469,10 +487,12 @@ class Simulator {
               uint32_t count, bool broadcast);
   void CheckEventBudget() const;
 
-  /// One query lane: the program (null while muted) and the Metrics its
-  /// tagged traffic routes to.
+  /// One query lane: the program (null while muted), the Metrics its
+  /// tagged traffic routes to, and its queued deliveries and timers.
   struct Lane {
     uint32_t instance_id;
+    uint32_t pending;
+    bool hears_failures;
     HostProgram* program;
     std::unique_ptr<Metrics> metrics;
   };
@@ -483,6 +503,20 @@ class Simulator {
       if (lane.instance_id == instance_id) return &lane;
     }
     return nullptr;
+  }
+  /// One of `lane`'s queued events (null: off the lane table) has been
+  /// dispatched or dropped.
+  void Settle(Lane* lane) {
+    if (lane == nullptr) return;
+    VALIDITY_DCHECK(lane->pending > 0, "lane %u pending count underflow",
+                    lane->instance_id);
+    if (--lane->pending == 0) MaybeQuiet(*lane);
+  }
+  /// One kFailHost or kNeighborDetect event has run.
+  void SettleFailure();
+  void MaybeQuiet(const Lane& lane) {
+    if (lane.hears_failures && pending_failures_ != 0) return;
+    if (lane_quiet_hook_) lane_quiet_hook_(lane.instance_id);
   }
   /// Where tagged traffic goes: its lane's program, or off the lane table
   /// the attached program; traffic reaching neither counts as unrouted.
@@ -546,6 +580,10 @@ class Simulator {
   /// reuse: a timeline settles on one Metrics per concurrent lane.
   std::vector<Lane> lanes_;
   std::vector<std::unique_ptr<Metrics>> spare_metrics_;
+  /// Queued kFailHost and kNeighborDetect events: lanes that hear failures
+  /// stay open until this is 0.
+  uint64_t pending_failures_ = 0;
+  std::function<void(uint32_t)> lane_quiet_hook_;
   uint64_t unrouted_ = 0;
   /// Message payload slab (stable chunked storage + free list).
   std::vector<std::unique_ptr<MessageSlot[]>> slab_;

@@ -205,6 +205,35 @@ TEST_F(FaultFingerprintTest, FreshAndReusedRunsAreBitIdenticalUnderFaults) {
   EXPECT_GT(session.epoch(), 25u);
 }
 
+TEST_F(FaultFingerprintTest, EveryFaultCaseMatchesTheDrainedReferenceRun) {
+  // The lanes of engine.Run and of a service retire when the simulator sees
+  // them quiet; the reference drains its queue dry. A lane closed while a
+  // fault-delayed or duplicated copy is still queued loses that copy's
+  // charge and shows up here (and as an unrouted event).
+  sim::SimulatorSession session(&graph_, sim::SimOptions{});
+  for (const auto& [fault_label, fault] : FaultMatrix()) {
+    for (const FaultProtoCase& pc : FaultProtoCases()) {
+      SCOPED_TRACE(fault_label);
+      QuerySpec spec;
+      RunConfig config;
+      MakeFaultCase(pc, fault, &spec, &config);
+      const QueryResult reference = ReferenceRun(engine_, spec, config, 0);
+      auto run = engine_.Run(spec, config, 0);
+      ASSERT_TRUE(run.ok()) << pc.label;
+      ExpectIdentical(reference, *run, pc.label);
+
+      QueryService service(&engine_, &session,
+                           ServiceOptionsFor(spec, config, 0));
+      ASSERT_TRUE(service.Submit(0.0, spec, config, 0).ok()) << pc.label;
+      service.Drain();
+      QueryService::Completion done;
+      ASSERT_TRUE(service.Poll(&done)) << pc.label;
+      ExpectIdentical(reference, done.result, pc.label);
+      EXPECT_EQ(session.simulator().unrouted_events(), 0u) << pc.label;
+    }
+  }
+}
+
 TEST_F(FaultFingerprintTest, ConcurrentLanesMatchTheirSoloRunsUnderFaults) {
   FaultSpec fault;
   fault.seed = 21;

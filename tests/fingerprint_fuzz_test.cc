@@ -15,7 +15,7 @@
 //
 // and all four results compared field for field (the determinism contract,
 // docs/SERVICE.md). Every lane column must also leave no traffic behind its
-// lanes' quiescence bounds (Simulator::unrouted_events() == 0). A failing
+// lanes (Simulator::unrouted_events() == 0). A failing
 // case prints a self-contained repro recipe: its generator seed and every
 // drawn parameter.
 //

@@ -195,7 +195,7 @@ inline void MakeFaultCase(const FaultProtoCase& pc, const sim::FaultSpec& fault,
 /// The reference column: the query's protocol run directly on a fresh
 /// sim::Simulator through AttachProgram, its tick series anchored at
 /// `start_at`, with Run() draining the queue dry — no lanes, no
-/// quiescence bound. Every entry point runs its queries as lanes on one
+/// retirement. Every entry point runs its queries as lanes on one
 /// shared core, so comparing entry points with each other cannot catch a
 /// lane retired too early; comparing each with this column can.
 inline QueryResult ReferenceRun(const QueryEngine& engine,

@@ -129,7 +129,7 @@ constexpr Golden kGolden[] = {
     {"fault/drop/wf-fm", 0x3df55686e792b606ULL},
     {"fault/drop/wf-churn", 0xf93589b08000cef7ULL},
     {"fault/drop/tree", 0xbf4eafc8bc66afe2ULL},
-    {"fault/drop/gossip", 0x9938a30f600ed82fULL},
+    {"fault/drop/gossip", 0xa3d0bb2eaff9c1f7ULL},
     {"fault/drop/dag", 0x1d76e16ae871561fULL},
     {"fault/dup+delay/wf-fm", 0x6028260ca1b77c4bULL},
     {"fault/dup+delay/wf-churn", 0x24462fb5c73bbc2eULL},

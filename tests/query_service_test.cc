@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <thread>
@@ -31,6 +32,7 @@
 #include "core/query_service.h"
 #include "fingerprint_matrix.h"
 #include "sim/session.h"
+#include "sim/trace.h"
 #include "topology/generators.h"
 
 namespace validity::core {
@@ -479,6 +481,146 @@ TEST_F(QueryServiceTest, SessionPoolLanesServeConcurrentServices) {
   EXPECT_LE(pool.size(), static_cast<size_t>(kWorkers));
   for (const QueryResult& r : results) {
     ExpectIdentical(*fresh, r, "pool-service-vs-fresh");
+  }
+}
+
+/// The instance tag of a traced message (0 for failures and joins).
+uint32_t LaneOf(const sim::TraceEvent& e) {
+  return e.message_kind >> sim::kInstanceTagShift;
+}
+
+TEST_F(QueryServiceTest, LaneRetiresAtItsLastEventOrItsHorizon) {
+  // Nothing outlives the lane, and nothing holds it past its last event:
+  // it retires at max(its last traced event, start + 2 * D-hat * delta),
+  // with or without fault-delayed copies.
+  const ProtocolKind kinds[] = {ProtocolKind::kWildfire,
+                                ProtocolKind::kSpanningTree, ProtocolKind::kDag,
+                                ProtocolKind::kGossip, ProtocolKind::kAllReport};
+  sim::FaultSpec delayed;
+  delayed.seed = 5;
+  delayed.delay_rate = 0.3;
+  delayed.max_delay_hops = 2;
+  for (const sim::FaultSpec& fault : {sim::FaultSpec{}, delayed}) {
+    for (ProtocolKind kind : kinds) {
+      SCOPED_TRACE(protocols::ProtocolKindName(kind));
+      SCOPED_TRACE(fault.HasLinkFaults() ? "delay faults" : "no faults");
+      QuerySpec spec;
+      spec.aggregate = AggregateKind::kCount;
+      RunConfig config;
+      config.protocol = kind;
+      config.fault = fault;
+      QueryService service(&engine_, ServiceOptionsFor(spec, config, 0));
+      sim::TraceRecorder trace;
+      service.session().simulator().AttachTrace(&trace);
+      ASSERT_TRUE(service.Submit(3.0, spec, config, 0).ok());
+      service.Drain();
+      service.session().simulator().AttachTrace(nullptr);
+      QueryService::Completion done;
+      ASSERT_TRUE(service.Poll(&done));
+      ASSERT_FALSE(trace.events().empty());
+      const double delta = service.session().simulator().options().delta;
+      const SimTime horizon =
+          done.started_at + 2.0 * done.result.d_hat_used * delta;
+      EXPECT_EQ(done.retired_at,
+                std::max(trace.events().back().time, horizon));
+      EXPECT_EQ(service.session().simulator().unrouted_events(), 0u);
+    }
+  }
+}
+
+TEST_F(QueryServiceTest, CancelledLaneFreesItsSlotOnceItsTrafficDrains) {
+  // One lane. The running query is cancelled after its horizon while
+  // fault-delayed copies are still in flight; the deferred query starts
+  // the instant the last of them lands, and equals its solo run there. A
+  // D-hat below the diameter keeps the flood sending up to the horizon.
+  QuerySpec spec;
+  spec.aggregate = AggregateKind::kCount;
+  spec.d_hat = 3.0;
+  RunConfig config;
+  config.fault.seed = 8;
+  config.fault.delay_rate = 0.5;
+  config.fault.max_delay_hops = 2;
+  ServiceOptions options = ServiceOptionsFor(spec, config, 0);
+  options.max_in_flight = 1;
+  QueryService service(&engine_, options);
+  sim::TraceRecorder trace;
+  service.session().simulator().AttachTrace(&trace);
+  auto cancelled = service.Submit(0.0, spec, config, 0);
+  ASSERT_TRUE(cancelled.ok());
+  Arrival deferred;
+  deferred.spec = spec;
+  deferred.config = config;
+  deferred.config.sketch_seed = 31;
+  auto waiting = service.Submit(0.0, spec, deferred.config, 0);
+  ASSERT_TRUE(waiting.ok());
+  ASSERT_EQ(service.deferred(), 1u);
+
+  const double delta = service.session().simulator().options().delta;
+  const SimTime horizon = 2.0 * service.churn_d_hat() * delta;
+  service.RunUntil(horizon + 0.5);
+  ASSERT_EQ(service.in_flight(), 1u);
+  ASSERT_TRUE(service.Cancel(cancelled.value()).ok());
+  service.Drain();
+  service.session().simulator().AttachTrace(nullptr);
+
+  QueryService::Completion done;
+  ASSERT_TRUE(service.Poll(&done));
+  EXPECT_EQ(done.id, waiting.value());
+  EXPECT_FALSE(service.Poll(&done));  // the cancelled query has no result
+  ASSERT_FALSE(trace.events().empty());
+  const uint32_t first_lane = LaneOf(trace.events().front());
+  SimTime drained = 0.0;
+  for (const sim::TraceEvent& e : trace.events()) {
+    if (LaneOf(e) == first_lane) drained = std::max(drained, e.time);
+  }
+  EXPECT_GT(drained, horizon + 0.5);
+  EXPECT_EQ(done.started_at, drained);
+  ExpectIdentical(Solo(deferred, done.started_at), done.result,
+                  "after-drained-cancel-vs-solo");
+}
+
+TEST_F(QueryServiceTest, TreeLanesWaitForPendingFailureEvents) {
+  // Churn runs to three horizons. A tree or DAG lane hears neighbor
+  // failures, so it stays open until the last failure has run; a WILDFIRE
+  // lane on the same timeline does not listen and retires long before.
+  Arrival base;
+  base.spec.aggregate = AggregateKind::kCount;
+  base.config.churn_removals = 40;
+  base.config.churn_seed = 3;
+  base.config.churn_end_frac = 3.0;
+  base.hq = 0;
+  QueryService service(&engine_,
+                       ServiceOptionsFor(base.spec, base.config, base.hq));
+  sim::TraceRecorder trace;
+  service.session().simulator().AttachTrace(&trace);
+  const ProtocolKind kinds[] = {ProtocolKind::kSpanningTree,
+                                ProtocolKind::kDag, ProtocolKind::kWildfire};
+  std::vector<Arrival> arrivals;
+  for (ProtocolKind kind : kinds) {
+    Arrival a = base;
+    a.config.protocol = kind;
+    ASSERT_TRUE(service.Submit(0.0, a.spec, a.config, a.hq).ok());
+    arrivals.push_back(a);
+  }
+  service.Drain();
+  service.session().simulator().AttachTrace(nullptr);
+
+  SimTime last_failure = 0.0;
+  for (const sim::TraceEvent& e : trace.events()) {
+    if (e.kind == sim::TraceEventKind::kFail) last_failure = e.time;
+  }
+  const double horizon = 2.0 * service.churn_d_hat();
+  ASSERT_GT(last_failure, 2.0 * horizon);
+  std::map<QueryService::QueryId, QueryService::Completion> live;
+  QueryService::Completion done;
+  while (service.Poll(&done)) live[done.id] = done;
+  ASSERT_EQ(live.size(), 3u);
+  EXPECT_GT(live[1].retired_at, last_failure);  // tree
+  EXPECT_GT(live[2].retired_at, last_failure);  // DAG
+  EXPECT_LT(live[3].retired_at, last_failure);  // WILDFIRE
+  for (QueryService::QueryId id = 1; id <= 3; ++id) {
+    ExpectIdentical(Solo(arrivals[id - 1], 0.0), live[id].result,
+                    "churned-lane-vs-solo");
   }
 }
 

@@ -4,7 +4,7 @@
 //  - admission never exceeds the lane cap (peak_in_flight == max_in_flight),
 //  - deferred queries run strictly in arrival order,
 //  - every query completes and declares,
-//  - no traffic outlives its lane's quiescence bound,
+//  - no traffic outlives its lane,
 //  - resident simulator bytes stay O(touched): proportional to the queried
 //    disc + churn pages, not to the 1,000 arrivals and not to the network.
 
